@@ -164,6 +164,19 @@ pub fn query_fingerprint(query: &Query, table: Option<&Table>) -> u64 {
     h.finish()
 }
 
+/// Hash of `query`'s conjuncts in *written* order — exactly what
+/// [`query_fingerprint`] forgets. Consumers whose output depends on
+/// predicate order (candidate generation ranks and tie-breaks in it) key
+/// on both.
+pub fn predicate_order_fingerprint(query: &Query, table: Option<&Table>) -> u64 {
+    let mut h = rustc_hash::FxHasher::default();
+    for pred in &query.predicates {
+        h.write(predicate_token(pred, table).as_bytes());
+        h.write_u8(0xfe);
+    }
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

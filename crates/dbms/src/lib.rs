@@ -60,7 +60,7 @@ pub use exec::{
     execute, execute_reference, execute_with_opts, execute_with_selection, ExecError, ExecOptions,
     ExecStats, ResultSet, ScanProgress, CANCEL_STRIDE,
 };
-pub use fingerprint::{canon_ident, query_fingerprint};
+pub use fingerprint::{canon_ident, predicate_order_fingerprint, query_fingerprint};
 pub use index::{
     build_indexes, index_candidates, index_registry, probe_candidates, ColumnIndex, IndexRegistry,
     IndexStatus, Postings,

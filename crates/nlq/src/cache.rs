@@ -4,12 +4,15 @@
 //! Candidate generation is deterministic in the base query, the table
 //! content (dictionaries feed the phonetic index), and the `(k,
 //! max_candidates)` knobs — so a repeated transcript, or a differently
-//! phrased one that translates to the same canonical query, can reuse the
+//! phrased one that translates to the same base query, can reuse the
 //! whole phonetic beam search. Keys use
 //! [`muve_dbms::query_fingerprint`] *with table context*, which both
-//! normalizes trivia (predicate order, identifier case) and ties the key
-//! to dictionary codes; epoch invalidation on table reload handles the
-//! rest.
+//! normalizes trivia (identifier case, `=` vs one-element `IN`) and ties
+//! the key to dictionary codes, plus
+//! [`muve_dbms::predicate_order_fingerprint`]: the generator ranks and
+//! tie-breaks in predicate order, so two transcripts naming the same
+//! predicates in opposite order get different distributions and must not
+//! share an entry. Epoch invalidation on table reload handles the rest.
 
 use crate::candidates::CandidateQuery;
 use muve_cache::{Cache, CacheStats};
@@ -21,6 +24,9 @@ pub struct CandidateKey {
     /// [`muve_dbms::query_fingerprint`] of the base query with the target
     /// table as context.
     pub fingerprint: u64,
+    /// [`muve_dbms::predicate_order_fingerprint`] of the base query (same
+    /// table context): the order the fingerprint above forgets.
+    pub predicate_order: u64,
     /// Per-element alternative count (`k`).
     pub k: usize,
     /// Output distribution size cap.
@@ -79,7 +85,9 @@ impl CandidateCache {
 mod tests {
     use super::*;
     use crate::candidates::CandidateGenerator;
-    use muve_dbms::{parse, query_fingerprint, ColumnType, Schema, Table};
+    use muve_dbms::{
+        parse, predicate_order_fingerprint, query_fingerprint, ColumnType, Schema, Table,
+    };
 
     #[test]
     fn distribution_roundtrip_and_knobs_separate_keys() {
@@ -96,6 +104,7 @@ mod tests {
         cache.set_epoch(table.fingerprint());
         let key = CandidateKey {
             fingerprint: query_fingerprint(&base, Some(&table)),
+            predicate_order: predicate_order_fingerprint(&base, Some(&table)),
             k: 20,
             max_candidates: 10,
         };

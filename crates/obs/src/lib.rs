@@ -1,6 +1,7 @@
 //! # muve-obs — observability for the MUVE pipeline
 //!
-//! Two complementary views of a running system:
+//! Two complementary views of a running system, plus the robustness
+//! primitives every serving layer instantiates instead of rewriting:
 //!
 //! - [`metrics()`] — a process-global registry of monotonic counters,
 //!   two-way gauges, and log₂-bucketed histograms, recorded by every layer
@@ -12,6 +13,16 @@
 //!   degradation rung in effect after the stage, caught faults, and
 //!   stage-specific counters. Exports to JSON ([`SessionTrace::to_json`])
 //!   and parses back losslessly ([`SessionTrace::from_json`]).
+//! - [`Breaker`] — the one circuit-breaker state machine (closed → open →
+//!   single probe), driven by an explicit `now` on every call. `muve-serve`
+//!   keeps one per pipeline stage, `muve-shard` one per replica.
+//! - [`ledger!`] — a flow ledger declared once as `field => "registry
+//!   name"` lines: exact per-owner counters ([`LedgerCounter`]) mirrored
+//!   into the registry through pre-resolved handles, a typed `Copy`
+//!   snapshot, and the flow identities as data ([`Identity`]) behind one
+//!   generic [`violations`] check.
+//! - [`FaultClause`] — the `<target>:<kind>[=<arg>][@p=<0..=1>]` clause
+//!   grammar and typed [`FaultSpecError`] both fault injectors parse with.
 //!
 //! The crate is dependency-light by design (only the vendored
 //! `serde_json`), so every other crate in the workspace can record into it
@@ -19,12 +30,18 @@
 
 #![warn(missing_docs)]
 
+mod breaker;
 mod cancel;
+mod fault;
+mod ledger;
 mod metrics;
 mod sync;
 mod trace;
 
+pub use breaker::{Breaker, BreakerConfig, BreakerDecision, BreakerState, BreakerTransition};
 pub use cancel::{CancelCause, CancelToken, MemBudget, MemExhausted, MemPool};
+pub use fault::{fault_clauses, FaultClause, FaultSpecError, FaultSpecReason};
+pub use ledger::{violations, Identity, LedgerCounter};
 pub use metrics::{
     metrics, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };

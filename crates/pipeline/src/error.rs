@@ -47,7 +47,7 @@ impl Stage {
     }
 
     /// Position in [`Stage::ALL`].
-    pub(crate) fn index(self) -> usize {
+    pub fn index(self) -> usize {
         match self {
             Stage::Translate => 0,
             Stage::Candidates => 1,

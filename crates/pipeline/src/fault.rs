@@ -21,6 +21,7 @@
 //! every ILP restart of the run.
 
 use crate::error::{PipelineError, Stage};
+use muve_obs::{fault_clauses, FaultSpecError, FaultSpecReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -62,71 +63,6 @@ impl StageFault {
             && !self.stall_solver
     }
 }
-
-/// A malformed fault spec handed to [`FaultInjector::parse`]. Typed so
-/// front-ends (CLI flags, `\inject`, HTTP query parameters) can print a
-/// one-line usage hint instead of aborting — fault injection is an
-/// operator tool, and a typo in a spec must never take the process down.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultSpecError {
-    /// An item had no `:` separating stage from kind.
-    MissingSeparator {
-        /// The offending item.
-        item: String,
-    },
-    /// The stage name is not one of [`Stage::ALL`].
-    UnknownStage {
-        /// The offending stage name.
-        stage: String,
-    },
-    /// The fault kind is not `error|panic|panic_escape|stall|latency=MS`.
-    UnknownKind {
-        /// The offending kind.
-        kind: String,
-    },
-    /// A `@p=` suffix did not parse to a probability in `[0, 1]`.
-    BadProbability {
-        /// The offending item.
-        item: String,
-    },
-    /// `stall` was planted on a stage other than `plan`.
-    StallNotPlan {
-        /// The stage the spec tried to stall.
-        stage: Stage,
-    },
-}
-
-impl FaultSpecError {
-    /// A one-line usage hint suitable for a CLI or an HTTP 400 body.
-    pub fn usage_hint() -> &'static str {
-        "expected stage:kind[,stage:kind...] with stage in \
-         translate|candidates|plan|execute|render and kind in \
-         error|panic|panic_escape|stall|latency=MS, optionally @p=<0..1>"
-    }
-}
-
-impl std::fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultSpecError::MissingSeparator { item } => {
-                write!(f, "bad fault {item:?}: expected stage:kind")
-            }
-            FaultSpecError::UnknownStage { stage } => write!(f, "unknown stage {stage:?}"),
-            FaultSpecError::UnknownKind { kind } => write!(
-                f,
-                "unknown fault kind {kind:?} (error|panic|panic_escape|stall|latency=MS)"
-            ),
-            FaultSpecError::BadProbability { item } => {
-                write!(f, "bad probability suffix in {item:?} (expected @p=<0..1>)")
-            }
-            FaultSpecError::StallNotPlan { stage } => {
-                write!(f, "stall only applies to plan, not {stage}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FaultSpecError {}
 
 /// The marker payload of a `panic_escape` fault. The session's panic guard
 /// downcasts every caught payload and re-raises this one via
@@ -222,61 +158,38 @@ impl FaultInjector {
         self
     }
 
-    /// Parse a CLI fault spec: comma-separated `stage:kind` items where
-    /// `kind` is `error`, `panic`, `panic_escape`, `stall`, or
+    /// A one-line usage hint suitable for a CLI or an HTTP 400 body.
+    pub fn usage_hint() -> &'static str {
+        "expected stage:kind[,stage:kind...] with stage in \
+         translate|candidates|plan|execute|render and kind in \
+         error|panic|panic_escape|stall|latency=MS, optionally @p=<0..1>"
+    }
+
+    /// Parse a CLI fault spec in the shared clause grammar
+    /// ([`muve_obs::FaultClause`]): comma-separated `stage:kind` clauses
+    /// where `kind` is `error`, `panic`, `panic_escape`, `stall`, or
     /// `latency=<ms>`, optionally suffixed `@p=<prob>` to make the stage's
     /// fault plan *intermittent* (it fires with probability `p` on every
-    /// trip instead of once).
+    /// trip instead of once). Clauses naming the same stage accumulate.
     ///
     /// Examples: `plan:panic,execute:error,translate:latency=200`,
     /// `execute:error@p=0.3`, `plan:stall,execute:latency=20@p=0.5`.
     pub fn parse(spec: &str) -> Result<FaultInjector, FaultSpecError> {
         let mut out = FaultInjector::none();
-        for item in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            let (stage_name, kind) =
-                item.split_once(':')
-                    .ok_or_else(|| FaultSpecError::MissingSeparator {
-                        item: item.to_owned(),
-                    })?;
-            let stage =
-                Stage::parse(stage_name.trim()).ok_or_else(|| FaultSpecError::UnknownStage {
-                    stage: stage_name.to_owned(),
-                })?;
+        for clause in fault_clauses(spec) {
+            let clause = clause?;
+            let stage = Stage::parse(clause.target)
+                .ok_or_else(|| clause.error(FaultSpecReason::UnknownTarget))?;
             let mut fault = out.plans[stage.index()].clone().unwrap_or_default();
-            let kind = match kind.trim().split_once('@') {
-                Some((k, suffix)) => {
-                    let p = suffix
-                        .trim()
-                        .strip_prefix("p=")
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|p| (0.0..=1.0).contains(p))
-                        .ok_or_else(|| FaultSpecError::BadProbability {
-                            item: item.to_owned(),
-                        })?;
-                    fault.probability = Some(p);
-                    k
-                }
-                None => kind,
-            };
-            match kind.trim() {
-                "error" => fault.error = true,
-                "panic" => fault.panic = true,
-                "panic_escape" => fault.panic_escape = true,
-                "stall" => {
-                    if stage != Stage::Plan {
-                        return Err(FaultSpecError::StallNotPlan { stage });
-                    }
-                    fault.stall_solver = true;
-                }
-                other => {
-                    let ms = other
-                        .strip_prefix("latency=")
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or_else(|| FaultSpecError::UnknownKind {
-                            kind: other.to_owned(),
-                        })?;
-                    fault.latency = Some(Duration::from_millis(ms));
-                }
+            fault.probability = clause.probability.or(fault.probability);
+            match (clause.kind, clause.arg) {
+                ("error", None) => fault.error = true,
+                ("panic", None) => fault.panic = true,
+                ("panic_escape", None) => fault.panic_escape = true,
+                ("stall", None) if stage == Stage::Plan => fault.stall_solver = true,
+                ("stall", None) => return Err(clause.error(FaultSpecReason::NotApplicable)),
+                ("latency", _) => fault.latency = Some(clause.millis()?),
+                _ => return Err(clause.error(FaultSpecReason::UnknownKind)),
             }
             out = out.with(stage, fault);
         }
@@ -418,37 +331,19 @@ mod tests {
             inj.fault(Stage::Translate).unwrap().latency,
             Some(Duration::from_millis(200))
         );
-        assert_eq!(
-            FaultInjector::parse("bogus:error").unwrap_err(),
-            FaultSpecError::UnknownStage {
-                stage: "bogus".into()
-            }
-        );
-        assert_eq!(
-            FaultInjector::parse("plan:frobnicate").unwrap_err(),
-            FaultSpecError::UnknownKind {
-                kind: "frobnicate".into()
-            }
-        );
-        assert_eq!(
-            FaultInjector::parse("execute:stall").unwrap_err(),
-            FaultSpecError::StallNotPlan {
-                stage: Stage::Execute
-            },
-            "stall is plan-only"
-        );
-        assert_eq!(
-            FaultInjector::parse("plainitem").unwrap_err(),
-            FaultSpecError::MissingSeparator {
-                item: "plainitem".into()
-            }
-        );
-        // Every variant renders, and the usage hint is a single line.
-        for bad in ["bogus:error", "plan:frobnicate", "execute:stall", "x"] {
+        for (bad, why) in [
+            ("bogus:error", FaultSpecReason::UnknownTarget),
+            ("plan:frobnicate", FaultSpecReason::UnknownKind),
+            ("plan:error=5", FaultSpecReason::UnknownKind),
+            ("execute:stall", FaultSpecReason::NotApplicable), // plan-only
+            ("translate:latency=soon", FaultSpecReason::BadArgument),
+            ("plainitem", FaultSpecReason::MissingSeparator),
+            ("execute:error@p=1.5", FaultSpecReason::BadProbability),
+        ] {
             let err = FaultInjector::parse(bad).unwrap_err();
-            assert!(!err.to_string().is_empty());
+            assert_eq!((err.reason, err.clause.as_str()), (why, bad));
         }
-        assert!(!FaultSpecError::usage_hint().contains('\n'));
+        assert!(!FaultInjector::usage_hint().contains('\n'));
         assert!(FaultInjector::parse("").unwrap().is_empty());
         // Specs without a probability suffix stay one-shot (legacy).
         assert_eq!(inj.fault(Stage::Plan).unwrap().probability, None);
@@ -476,38 +371,6 @@ mod tests {
         let plan = inj.fault(Stage::Plan).unwrap();
         assert_eq!(plan.latency, Some(Duration::from_millis(20)));
         assert_eq!(plan.probability, Some(0.5));
-        // Boundary probabilities parse.
-        assert_eq!(
-            FaultInjector::parse("execute:error@p=1")
-                .unwrap()
-                .fault(Stage::Execute)
-                .unwrap()
-                .probability,
-            Some(1.0)
-        );
-        assert_eq!(
-            FaultInjector::parse("execute:error@p=0.0")
-                .unwrap()
-                .fault(Stage::Execute)
-                .unwrap()
-                .probability,
-            Some(0.0)
-        );
-    }
-
-    #[test]
-    fn parse_probability_errors() {
-        for bad in [
-            "execute:error@p=1.5",
-            "execute:error@p=-0.1",
-            "execute:error@p=abc",
-            "execute:error@p=",
-            "execute:error@q=0.3",
-            "execute:error@p=NaN",
-            "execute:error@",
-        ] {
-            assert!(FaultInjector::parse(bad).is_err(), "{bad:?} must not parse");
-        }
     }
 
     #[test]

@@ -33,7 +33,8 @@ mod session;
 pub use budget::DeadlineBudget;
 pub use cache::{CachesReport, FlightKey, SessionCaches};
 pub use error::{PipelineError, Stage};
-pub use fault::{EscapedPanic, FaultInjector, FaultSpecError, StageFault};
+pub use fault::{EscapedPanic, FaultInjector, StageFault};
+pub use muve_obs::FaultSpecError;
 pub use session::{
     DegradationEvent, DegradationTrace, Rung, Session, SessionConfig, SessionOutcome,
     Visualization, SESSION_STAGES,

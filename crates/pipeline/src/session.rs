@@ -33,8 +33,8 @@ use muve_core::{
 };
 use muve_dbms::{
     execute_approximate_with_opts, execute_merged_with_opts, execute_with_opts, extract_merged,
-    fidelity_key, parse, plan_merged, query_fingerprint, ExecError, ExecOptions, MergeGroup, Query,
-    ResultKey, ResultSet, Table,
+    fidelity_key, parse, plan_merged, predicate_order_fingerprint, query_fingerprint, ExecError,
+    ExecOptions, MergeGroup, Query, ResultKey, ResultSet, Table,
 };
 use muve_nlq::{translate, CandidateGenerator, CandidateKey, CandidateQuery};
 use muve_obs::{CancelCause, CancelToken, MemBudget, MemPool, SessionTrace, SpanStatus, StageSpan};
@@ -413,6 +413,7 @@ impl<'a> Session<'a> {
         let key = self.caches.as_deref().map(|caches| {
             let key = CandidateKey {
                 fingerprint: query_fingerprint(base, Some(self.table.get())),
+                predicate_order: predicate_order_fingerprint(base, Some(self.table.get())),
                 k: self.config.k,
                 max_candidates: self.config.max_candidates,
             };

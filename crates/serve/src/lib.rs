@@ -19,8 +19,8 @@
 //!   (degraded or value-less) is re-run under the same ticking budget,
 //!   with backoff `base·2^(n−1)` ± 50 % jitter, bounded by the remaining
 //!   deadline and [`RetryPolicy::max_retries`].
-//! - **Per-stage circuit breakers** — K consecutive failures of a stage
-//!   open its [`Breaker`](BreakerState); while open, sessions *pre-degrade*
+//! - **Per-stage circuit breakers** — one [`muve_obs::Breaker`] per
+//!   stage: K consecutive failures open it ([`BreakerState`]); while open, sessions *pre-degrade*
 //!   past the broken rung (open plan breaker ⇒ start on greedy, open
 //!   execute breaker ⇒ skip the sample ladder) instead of burning budget
 //!   rediscovering the fault; after a cooldown a single probe request
@@ -70,10 +70,9 @@
 
 #![warn(missing_docs)]
 
-mod breaker;
 mod server;
 
-pub use breaker::{BreakerConfig, BreakerDecision, BreakerState};
+pub use muve_obs::{BreakerConfig, BreakerDecision, BreakerState};
 pub use server::{
     DrainReport, OutcomeClass, Rejected, Request, RetryPolicy, ServeOutcome, ServeStats, Server,
     ServerConfig, Ticket, STUCK_FACTOR,

@@ -1,9 +1,11 @@
 //! The worker pool, admission queue, retry loop, and drain logic.
 
-use crate::breaker::{BreakerConfig, BreakerDecision, BreakerSet, BreakerState};
 use muve_core::Planner;
 use muve_dbms::Table;
-use muve_obs::{lock_recover, CancelToken, MemPool};
+use muve_obs::{
+    lock_recover, Breaker, BreakerConfig, BreakerDecision, BreakerState, BreakerTransition,
+    CancelToken, MemPool,
+};
 use muve_pipeline::{
     DeadlineBudget, FaultInjector, Session, SessionCaches, SessionConfig, SessionOutcome, Stage,
     Visualization,
@@ -356,38 +358,60 @@ impl Ticket {
     }
 }
 
-/// Point-in-time serving statistics (request-level; exact, per-server).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStats {
-    /// Requests handed to `submit`.
-    pub submitted: u64,
-    /// Requests completed on their planned rung.
-    pub served: u64,
-    /// Requests completed below their planned rung.
-    pub degraded: u64,
-    /// Requests shed (admission, queue expiry, shutdown).
-    pub shed: u64,
-    /// Session retries taken beyond first attempts.
-    pub retries: u64,
-    /// Circuit-breaker open transitions.
-    pub breaker_opens: u64,
-    /// Requests lost to a worker crash (counted *within* `shed`: the
-    /// watchdog resolves each with [`Rejected::WorkerCrashed`]).
-    pub crashed: u64,
-    /// Worker threads respawned by the watchdog after a crash.
-    pub respawns: u64,
-    /// Stuck requests whose token the watchdog cancelled.
-    pub watchdog_cancels: u64,
-    /// Requests currently queued (waiting for a worker).
-    pub queue_depth: usize,
+muve_obs::ledger! {
+    /// Live request-level counters of one server, each mirrored into the
+    /// process-wide registry under its `serve.*` name.
+    struct Stats =>
+    /// Point-in-time serving statistics (request-level; exact, per-server).
+    pub struct ServeStats {
+        /// Requests handed to `submit`.
+        submitted => "serve.submitted",
+        /// Requests completed on their planned rung.
+        served => "serve.served",
+        /// Requests completed below their planned rung.
+        degraded => "serve.degraded",
+        /// Requests shed (admission, queue expiry, shutdown).
+        shed => "serve.shed",
+        /// Session retries taken beyond first attempts.
+        retries => "serve.retries",
+        /// Circuit-breaker open transitions.
+        breaker_opens => "serve.breaker_open",
+        /// Requests lost to a worker crash (counted *within* `shed`: the
+        /// watchdog resolves each with [`Rejected::WorkerCrashed`]).
+        crashed => "serve.worker_crashes",
+        /// Worker threads respawned by the watchdog after a crash.
+        respawns => "serve.worker_respawns",
+        /// Stuck requests whose token the watchdog cancelled.
+        watchdog_cancels => "serve.watchdog_cancels",
+        /// Requests admitted to the queue.
+        enqueued => "serve.enqueued",
+        /// Requests a worker picked up from the queue.
+        dequeued => "serve.dequeued",
+        /// Queued requests shed at pickup because their client hung up.
+        client_gone => "serve.client_gone",
+    }
+    extra {
+        /// Requests currently queued (waiting for a worker).
+        queue_depth: usize,
+    }
+    histograms {
+        queue_depth => "serve.queue_depth",
+        queue_wait_us => "serve.queue_wait_us",
+        e2e_us => "serve.e2e_us",
+    }
+    identities {
+        (submitted) == (served + degraded + shed);
+        (crashed) <= (shed);
+    }
 }
 
 impl ServeStats {
-    /// Whether every submitted request has resolved to exactly one class.
-    /// Crashed requests are shed (with a typed reason), so the identity
-    /// holds even under a worker-death storm.
+    /// Whether every submitted request has resolved to exactly one class
+    /// (no declared identity is [violated](Self::violations)). Crashed
+    /// requests are shed (with a typed reason), so the books balance even
+    /// under a worker-death storm.
     pub fn reconciles(&self) -> bool {
-        self.submitted == self.served + self.degraded + self.shed
+        self.violations().is_empty()
     }
 }
 
@@ -423,19 +447,6 @@ impl fmt::Display for DrainReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "drained: {}", self.stats)
     }
-}
-
-#[derive(Debug, Default)]
-struct Stats {
-    submitted: AtomicU64,
-    served: AtomicU64,
-    degraded: AtomicU64,
-    shed: AtomicU64,
-    retries: AtomicU64,
-    breaker_opens: AtomicU64,
-    crashed: AtomicU64,
-    respawns: AtomicU64,
-    watchdog_cancels: AtomicU64,
 }
 
 struct Job {
@@ -537,7 +548,8 @@ struct Shared {
     table: Arc<Table>,
     queue: Mutex<QueueState>,
     available: Condvar,
-    breakers: BreakerSet,
+    /// One breaker per pipeline stage, indexed by [`Stage::index`].
+    breakers: [Breaker; 5],
     /// EWMA of per-request service time, microseconds (0 = no data yet).
     ewma_service_us: AtomicU64,
     stats: Stats,
@@ -584,13 +596,13 @@ impl Server {
         let mem_pool = (cfg.mem_cap_mb > 0)
             .then(|| Arc::new(MemPool::new(cfg.mem_cap_mb * workers * 1024 * 1024)));
         let shared = Arc::new(Shared {
-            breakers: BreakerSet::new(cfg.breaker.clone()),
+            breakers: std::array::from_fn(|_| Breaker::new(cfg.breaker)),
             cfg,
             table,
             queue: Mutex::new(QueueState::default()),
             available: Condvar::new(),
             ewma_service_us: AtomicU64::new(0),
-            stats: Stats::default(),
+            stats: Stats::new(),
             active: Mutex::new((0..workers).map(|_| None).collect()),
             workers: Mutex::new((0..workers).map(|_| None).collect()),
             watchdog_stop: AtomicBool::new(false),
@@ -629,13 +641,11 @@ impl Server {
     /// immediately, so queue wait is charged against its deadline.
     pub fn submit(&self, req: Request) -> Result<Ticket, Rejected> {
         let shared = &self.shared;
-        let obs = muve_obs::metrics();
-        shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        obs.counter("serve.submitted").incr();
+        shared.stats.submitted.incr();
         let mut q = lock_recover(&shared.queue, "serve.lock_poisoned");
         if q.draining {
             drop(q);
-            self.count_shed();
+            shared.stats.shed.incr();
             return Err(Rejected::ShuttingDown);
         }
         let lane_depth = q
@@ -646,7 +656,7 @@ impl Server {
         let expected_wait = self.expected_wait(q.total_queued());
         if lane_depth >= shared.cfg.queue_depth || expected_wait >= req.config.deadline {
             drop(q);
-            self.count_shed();
+            shared.stats.shed.incr();
             return Err(Rejected::Overloaded {
                 queue_depth: lane_depth,
                 expected_wait,
@@ -661,9 +671,8 @@ impl Server {
         let depth_after = q.total_queued();
         drop(q);
         shared.available.notify_one();
-        obs.counter("serve.enqueued").incr();
-        obs.histogram("serve.queue_depth")
-            .record(depth_after as u64);
+        shared.stats.enqueued.incr();
+        shared.stats.queue_depth.record(depth_after as u64);
         Ok(Ticket { rx })
     }
 
@@ -674,25 +683,11 @@ impl Server {
         Duration::from_micros(ewma.saturating_mul(queue_depth as u64 + 1) / workers)
     }
 
-    fn count_shed(&self) {
-        self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("serve.shed").incr();
-    }
-
     /// Exact request-level statistics for this server.
     pub fn stats(&self) -> ServeStats {
-        let s = &self.shared.stats;
         ServeStats {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            served: s.served.load(Ordering::Relaxed),
-            degraded: s.degraded.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
-            retries: s.retries.load(Ordering::Relaxed),
-            breaker_opens: s.breaker_opens.load(Ordering::Relaxed),
-            crashed: s.crashed.load(Ordering::Relaxed),
-            respawns: s.respawns.load(Ordering::Relaxed),
-            watchdog_cancels: s.watchdog_cancels.load(Ordering::Relaxed),
             queue_depth: lock_recover(&self.shared.queue, "serve.lock_poisoned").total_queued(),
+            ..self.shared.stats.snapshot()
         }
     }
 
@@ -705,7 +700,7 @@ impl Server {
 
     /// The circuit-breaker state of one pipeline stage.
     pub fn breaker_state(&self, stage: Stage) -> BreakerState {
-        self.shared.breakers.state(stage)
+        self.shared.breakers[stage.index()].state()
     }
 
     /// The sharded execution backend, if one was configured — health
@@ -809,13 +804,6 @@ fn wants_retry(out: &SessionOutcome) -> bool {
     transient && incomplete
 }
 
-fn stage_idx(stage: Stage) -> usize {
-    Stage::ALL
-        .iter()
-        .position(|&s| s == stage)
-        .expect("every stage is in Stage::ALL")
-}
-
 /// Feed one attempt's per-stage dispositions to the breakers, honouring
 /// the admission-time decisions: pre-degraded stages are not recorded (the
 /// broken path never ran), skipped stages yield no signal.
@@ -827,7 +815,7 @@ fn record_breaker_signals(
 ) {
     use muve_obs::SpanStatus;
     for stage in Stage::ALL {
-        let i = stage_idx(stage);
+        let i = stage.index();
         if decisions[i] == BreakerDecision::PreDegrade {
             continue;
         }
@@ -845,9 +833,11 @@ fn record_breaker_signals(
             SpanStatus::Skipped | SpanStatus::Cancelled | SpanStatus::Exhausted => continue,
         };
         saw_signal[i] = true;
-        if shared.breakers.record(stage, success) {
-            shared.stats.breaker_opens.fetch_add(1, Ordering::Relaxed);
-            muve_obs::metrics().counter("serve.breaker_open").incr();
+        if matches!(
+            shared.breakers[i].record(success, Instant::now()),
+            BreakerTransition::Opened | BreakerTransition::Reopened
+        ) {
+            shared.stats.breaker_opens.incr();
         }
     }
 }
@@ -862,7 +852,7 @@ fn spawn_worker(shared: &Arc<Shared>, index: usize) -> JoinHandle<()> {
 }
 
 fn worker_loop(shared: &Shared, worker_id: usize) {
-    let obs = muve_obs::metrics();
+    let stats = &shared.stats;
     let mut rng = StdRng::seed_from_u64(shared.cfg.retry.jitter_seed ^ worker_id as u64);
     loop {
         let (job, shed_queued) = {
@@ -880,50 +870,34 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         let Some(mut job) = job else {
             return; // draining and the queue is empty
         };
-        obs.counter("serve.dequeued").incr();
+        stats.dequeued.incr();
         job.budget.mark_admitted();
         let queue_wait = job.budget.queue_wait();
-        obs.histogram("serve.queue_wait_us")
-            .record_duration(queue_wait);
+        stats.queue_wait_us.record_duration(queue_wait);
 
-        // A shedding drain: flush the backlog as typed ShuttingDown
-        // outcomes instead of running answers nobody will wait for.
-        if shed_queued {
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            obs.counter("serve.shed").incr();
+        // Shed at pickup, in microseconds, what no longer deserves a worker.
+        let client_gone = (job.req.cancel.as_ref())
+            .is_some_and(|t| t.cause() == Some(muve_obs::CancelCause::ClientGone));
+        let shed = if shed_queued {
+            // A shedding drain: flush the backlog as typed ShuttingDown
+            // outcomes instead of running answers nobody will wait for.
+            Some(Rejected::ShuttingDown)
+        } else if client_gone {
+            // The submitter hung up while the request waited: do not
+            // compute an answer nobody reads.
+            stats.client_gone.incr();
+            Some(Rejected::ClientGone)
+        } else if job.budget.exhausted() {
+            // The deadline died in the queue: a session now could only
+            // show stale fallbacks after its budget is gone.
+            Some(Rejected::Expired { waited: queue_wait })
+        } else {
+            None
+        };
+        if let Some(reason) = shed {
+            stats.shed.incr();
             let _ = job.tx.send(ServeOutcome::Shed {
-                reason: Rejected::ShuttingDown,
-                total: job.budget.elapsed(),
-            });
-            continue;
-        }
-
-        // The client that submitted this request hung up while it waited:
-        // shed at pickup instead of computing an answer nobody reads.
-        if job
-            .req
-            .cancel
-            .as_ref()
-            .is_some_and(|t| t.cause() == Some(muve_obs::CancelCause::ClientGone))
-        {
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            obs.counter("serve.shed").incr();
-            obs.counter("serve.client_gone").incr();
-            let _ = job.tx.send(ServeOutcome::Shed {
-                reason: Rejected::ClientGone,
-                total: job.budget.elapsed(),
-            });
-            continue;
-        }
-
-        // The deadline died in the queue: shed at pickup, in microseconds,
-        // instead of running a session that can only show stale fallbacks
-        // after its budget is gone.
-        if job.budget.exhausted() {
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            obs.counter("serve.shed").incr();
-            let _ = job.tx.send(ServeOutcome::Shed {
-                reason: Rejected::Expired { waited: queue_wait },
+                reason,
                 total: job.budget.elapsed(),
             });
             continue;
@@ -954,14 +928,16 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         // Admission-time breaker decisions, then pre-degradation: an open
         // plan breaker starts the ladder on greedy (no doomed ILP attempt);
         // an open execute breaker skips the sample ladder.
-        let decisions: [BreakerDecision; 5] = Stage::ALL.map(|s| shared.breakers.decide(s));
+        let now = Instant::now();
+        let decisions: [BreakerDecision; 5] =
+            std::array::from_fn(|i| shared.breakers[i].decide(now));
         let mut config = job.req.config.clone();
-        if decisions[stage_idx(Stage::Plan)] == BreakerDecision::PreDegrade
+        if decisions[Stage::Plan.index()] == BreakerDecision::PreDegrade
             && matches!(config.planner, Planner::Ilp(_))
         {
             config.planner = Planner::Greedy;
         }
-        if decisions[stage_idx(Stage::Execute)] == BreakerDecision::PreDegrade {
+        if decisions[Stage::Execute.index()] == BreakerDecision::PreDegrade {
             config.sample_ladder.clear();
         }
         // The memory governor: requests that configured their own cap keep
@@ -993,8 +969,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
                 break; // no budget left for a meaningful attempt
             }
             std::thread::sleep(delay);
-            shared.stats.retries.fetch_add(1, Ordering::Relaxed);
-            obs.counter("serve.retries").incr();
+            stats.retries.incr();
             let again = session.run_with_budget(&job.req.transcript, job.budget.clone());
             attempts += 1;
             record_breaker_signals(shared, &decisions, &again, &mut saw_signal);
@@ -1005,24 +980,21 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         }
         // A probe that never reached its stage must release the slot so
         // the next request can probe instead of pre-degrading forever.
-        for stage in Stage::ALL {
-            let i = stage_idx(stage);
+        for (i, breaker) in shared.breakers.iter().enumerate() {
             if decisions[i] == BreakerDecision::Probe && !saw_signal[i] {
-                shared.breakers.release_probe(stage);
+                breaker.release_probe();
             }
         }
 
         let service = job.budget.elapsed().saturating_sub(queue_wait);
         update_ewma(&shared.ewma_service_us, service);
         if outcome.degraded() {
-            shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
-            obs.counter("serve.degraded").incr();
+            stats.degraded.incr();
         } else {
-            shared.stats.served.fetch_add(1, Ordering::Relaxed);
-            obs.counter("serve.served").incr();
+            stats.served.incr();
         }
         let total = job.budget.elapsed();
-        obs.histogram("serve.e2e_us").record_duration(total);
+        stats.e2e_us.record_duration(total);
         let _ = job.tx.send(ServeOutcome::Completed {
             outcome: Box::new(outcome),
             attempts,
@@ -1040,7 +1012,6 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
 /// killed by an escaped panic — resolve their orphaned request as a typed
 /// crashed shed and respawn the worker so the pool never shrinks.
 fn watchdog_loop(shared: &Arc<Shared>) {
-    let obs = muve_obs::metrics();
     while !shared.watchdog_stop.load(Ordering::SeqCst) {
         std::thread::sleep(WATCHDOG_POLL);
 
@@ -1052,11 +1023,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 if !slot.cancelled && slot.started.elapsed() > slot.total * STUCK_FACTOR {
                     slot.token.cancel();
                     slot.cancelled = true;
-                    shared
-                        .stats
-                        .watchdog_cancels
-                        .fetch_add(1, Ordering::Relaxed);
-                    obs.counter("serve.watchdog_cancels").incr();
+                    shared.stats.watchdog_cancels.incr();
                 }
             }
         }
@@ -1084,10 +1051,8 @@ fn watchdog_loop(shared: &Arc<Shared>) {
             }
             // Typed resolution keeps submitted = served + degraded + shed
             // exact even under a death storm.
-            shared.stats.crashed.fetch_add(1, Ordering::Relaxed);
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            obs.counter("serve.worker_crashes").incr();
-            obs.counter("serve.shed").incr();
+            shared.stats.shed.incr();
+            shared.stats.crashed.incr();
             let _ = req.tx.send(ServeOutcome::Shed {
                 reason: Rejected::WorkerCrashed,
                 total: req.started.elapsed(),
@@ -1100,8 +1065,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
             if !wind_down {
                 let replacement = spawn_worker(shared, i);
                 lock_recover(&shared.workers, "serve.lock_poisoned")[i] = Some(replacement);
-                shared.stats.respawns.fetch_add(1, Ordering::Relaxed);
-                obs.counter("serve.worker_respawns").incr();
+                shared.stats.respawns.incr();
             }
         }
     }

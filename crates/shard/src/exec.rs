@@ -12,7 +12,7 @@
 //! Robustness, per shard:
 //!
 //! - **Failover** — a typed sub-query failure re-dispatches to an untried
-//!   replica; the breaker ([`crate::ReplicaHealth`]) steers routing away
+//!   replica; the per-replica breaker ([`muve_obs::Breaker`]) steers routing away
 //!   from replicas that keep failing.
 //! - **Hedging** — a sub-query still unanswered after the rolling-p99
 //!   hedge delay is re-issued to a second replica; first answer wins, the
@@ -26,7 +26,7 @@
 //!   same arithmetic the sampling ladder uses.
 
 use crate::fault::{FaultKind, ShardFaultInjector};
-use crate::health::{HealthTransition, HedgeTracker, ReplicaHealth};
+use crate::hedge::HedgeTracker;
 use crate::set::{ReplicaCore, ShardSet, Topology};
 use crate::stats::ShardStats;
 use muve_dbms::Table;
@@ -34,7 +34,7 @@ use muve_dbms::{
     combine_partials, execute_partials, scale_result, systematic_rows, validate_query, BatchConfig,
     ExecError, ExecOptions, Query, QueryPartials, ResultSet,
 };
-use muve_obs::{CancelToken, MemBudget};
+use muve_obs::{Breaker, CancelToken, MemBudget};
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,6 +44,11 @@ use std::time::{Duration, Instant};
 /// How long an injected stall holds a sub-query when no cancellation
 /// arrives first. Bounded so chaos runs cannot wedge a worker forever.
 const STALL_CAP: Duration = Duration::from_secs(2);
+
+/// Batch-engine threads per sub-query: with N workers scanning in
+/// parallel, the shards *are* the parallelism, and single-threaded
+/// sub-queries avoid N×R-fold pool oversubscription.
+const WORKER_THREADS: usize = 1;
 
 /// Gather poll granularity while waiting for replies.
 const POLL: Duration = Duration::from_millis(10);
@@ -210,15 +215,14 @@ pub(crate) fn worker_main(
     replica: usize,
     table: Arc<Table>,
     dead: Arc<AtomicBool>,
-    health: Arc<ReplicaHealth>,
+    health: Arc<Breaker>,
     stats: Arc<ShardStats>,
     hedge: Arc<HedgeTracker>,
     injector: Arc<ShardFaultInjector>,
-    threads: usize,
     rx: mpsc::Receiver<Job>,
 ) {
     let cfg = BatchConfig {
-        threads,
+        threads: WORKER_THREADS,
         ..BatchConfig::default()
     };
     while let Ok(job) = rx.recv() {
@@ -226,15 +230,14 @@ pub(crate) fn worker_main(
         let result = run_job(shard, replica, &table, &dead, &injector, &cfg, &job);
         let elapsed = start.elapsed();
         let ok = result.is_ok();
-        match health.record(ok) {
-            HealthTransition::Tripped => stats.trip(),
-            HealthTransition::Recovered => stats.recovery(),
-            HealthTransition::None => {}
-        }
+        stats.breaker_moved(health.record(ok, Instant::now()));
         if ok {
             hedge.record(elapsed);
+            stats.replies_ok.incr();
+        } else {
+            stats.replies_err.incr();
         }
-        stats.reply(ok, elapsed);
+        stats.subquery_us.record_duration(elapsed);
         // The gather may be long gone (hedge loser, straggler): a closed
         // reply channel is fine, the books above are already settled.
         let _ = job.reply_tx.send(Reply {
@@ -466,7 +469,8 @@ impl ShardSet {
         let deadline = opts.budget.map(|b| started + b);
         let query = Arc::new(query.clone());
         let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-        self.inner.stats.scatter(n_shards);
+        self.inner.stats.gathers.incr();
+        self.inner.stats.fanout.record(n_shards as u64);
 
         let hedge_delay = self.inner.hedge.delay();
         let can_hedge = topo.num_replicas() > 1;
@@ -603,9 +607,13 @@ impl ShardSet {
             outcomes.push(outcome);
             partials.push(gs.partials.take());
         }
-        self.inner
-            .stats
-            .gather_done(served, n_shards - served, started.elapsed());
+        let stats = &self.inner.stats;
+        stats.shards_served.add(served as u64);
+        stats.shards_missing.add((n_shards - served) as u64);
+        if 0 < served && served < n_shards {
+            stats.partial_gathers.incr();
+        }
+        stats.gather_us.record_duration(started.elapsed());
         (
             partials,
             GatherReport {
@@ -649,8 +657,8 @@ impl ShardSet {
             // `dispatched == gathers·shards + hedges + failovers + heal_probes`.
             match kind {
                 DispatchKind::Primary if attempt == 0 => {}
-                DispatchKind::Hedge => self.inner.stats.hedge_fired(),
-                _ => self.inner.stats.failover(),
+                DispatchKind::Hedge => self.inner.stats.hedges_fired.incr(),
+                _ => self.inner.stats.failovers.incr(),
             }
             attempt += 1;
             let token = deadline
@@ -663,7 +671,7 @@ impl ShardSet {
                 hedge: kind == DispatchKind::Hedge,
                 reply_tx: reply_tx.clone(),
             };
-            self.inner.stats.dispatch();
+            self.inner.stats.dispatched.incr();
             match core.tx.try_send(job) {
                 Ok(()) => {
                     gs.inflight.push((r, token));
@@ -676,23 +684,20 @@ impl ShardSet {
                     // like failed sub-queries would — and try the next
                     // replica.
                     shed_any = true;
-                    self.inner.stats.queue_shed();
-                    self.inner.stats.reject();
-                    match core.health.record(false) {
-                        HealthTransition::Tripped => self.inner.stats.trip(),
-                        HealthTransition::Recovered => self.inner.stats.recovery(),
-                        HealthTransition::None => {}
-                    }
+                    let stats = &self.inner.stats;
+                    stats.replica_queue_shed.incr();
+                    stats.rejects.incr();
+                    stats.breaker_moved(core.health.record(false, Instant::now()));
                 }
                 Err(mpsc::TrySendError::Disconnected(_)) => {
                     // The worker retired (topology teardown mid-gather).
-                    self.inner.stats.reject();
+                    self.inner.stats.rejects.incr();
                 }
             }
         }
     }
 
-    /// Route one sub-query: a probe-eligible suspect first (half-open
+    /// Route one sub-query: a probe-eligible suspect first (single-probe
     /// recovery), then healthy replicas in rotation (read load-balancing),
     /// then any untried suspect as a last resort. Returns the slot's
     /// current core alongside the index so the caller sends to the same
@@ -707,15 +712,15 @@ impl ShardSet {
             topo.replicas[s].iter().map(|slot| slot.core()).collect();
         let now = Instant::now();
         for (r, core) in cores.iter().enumerate() {
-            if !tried[r] && core.health.try_begin_probe(now) {
-                self.inner.stats.probe();
+            if !tried[r] && core.health.try_probe(now) {
+                self.inner.stats.replica_probes.incr();
                 return Some((r, Arc::clone(core)));
             }
         }
         let start = topo.rr[s].fetch_add(1, Ordering::Relaxed);
         for k in 0..cores.len() {
             let r = (start + k) % cores.len();
-            if !tried[r] && cores[r].health.is_healthy() {
+            if !tried[r] && cores[r].health.is_closed() {
                 return Some((r, Arc::clone(&cores[r])));
             }
         }
@@ -756,7 +761,7 @@ impl ShardSet {
                     hedged: reply.hedge,
                 });
                 if reply.hedge {
-                    self.inner.stats.hedge_won();
+                    self.inner.stats.hedges_won.incr();
                 }
                 // First answer wins: release the losing copies.
                 for (_, token) in &gs.inflight {

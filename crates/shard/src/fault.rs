@@ -2,7 +2,7 @@
 //! `muve-pipeline`'s stage injector but addressed by (shard, replica)
 //! coordinates instead of pipeline stages.
 //!
-//! Spec grammar — comma-separated clauses:
+//! Specs use the shared clause grammar ([`muve_obs::FaultClause`]):
 //!
 //! ```text
 //! <shard>.<replica>:<kind>[@p=<0..=1>]
@@ -30,10 +30,10 @@
 //! orchestrator's timed `slow`/`unslow` events ride this overlay, which
 //! involves no RNG, so scripted chaos replays stay deterministic.
 
+use muve_obs::{fault_clauses, FaultClause, FaultSpecError, FaultSpecReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -64,34 +64,6 @@ struct Plan {
     kind: FaultKind,
     probability: f64,
 }
-
-/// A malformed fault spec, with the offending clause and a usage hint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFaultSpecError {
-    /// What was wrong.
-    pub message: String,
-}
-
-impl ShardFaultSpecError {
-    fn new(msg: impl Into<String>) -> ShardFaultSpecError {
-        ShardFaultSpecError {
-            message: msg.into(),
-        }
-    }
-
-    /// One-line grammar reminder for CLI error paths.
-    pub fn usage_hint() -> &'static str {
-        "expected <shard|*>.<replica|*>:<error|panic|stall|down|down_until_healed|latency=MS>[@p=<0..=1>], comma-separated"
-    }
-}
-
-impl fmt::Display for ShardFaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad shard fault spec: {}", self.message)
-    }
-}
-
-impl std::error::Error for ShardFaultSpecError {}
 
 /// Seeded replica-level fault injector.
 #[derive(Debug)]
@@ -157,15 +129,10 @@ impl ShardFaultInjector {
     }
 
     /// Parse a spec (see module docs for the grammar).
-    pub fn parse(spec: &str) -> Result<ShardFaultInjector, ShardFaultSpecError> {
-        let mut plans = Vec::new();
-        for clause in spec.split(',') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            plans.push(parse_clause(clause)?);
-        }
+    pub fn parse(spec: &str) -> Result<ShardFaultInjector, FaultSpecError> {
+        let plans = fault_clauses(spec)
+            .map(|clause| plan(&clause?))
+            .collect::<Result<_, _>>()?;
         Ok(ShardFaultInjector {
             plans,
             ..ShardFaultInjector::none()
@@ -249,64 +216,30 @@ impl ShardFaultInjector {
     }
 }
 
-fn parse_clause(clause: &str) -> Result<Plan, ShardFaultSpecError> {
-    let (body, probability) = match clause.split_once("@p=") {
-        Some((body, p)) => {
-            let p: f64 = p
-                .parse()
-                .map_err(|_| ShardFaultSpecError::new(format!("bad probability in {clause:?}")))?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(ShardFaultSpecError::new(format!(
-                    "probability out of [0, 1] in {clause:?}"
-                )));
-            }
-            (body, p)
-        }
-        None => (clause, 1.0),
+/// One clause's plan: a `shard.replica` target (indexes or `*`), the
+/// kind → action table, and "no `@p=`" meaning "always".
+fn plan(clause: &FaultClause<'_>) -> Result<Plan, FaultSpecError> {
+    let bad_target = || clause.error(FaultSpecReason::UnknownTarget);
+    let index = |s: &str| match s {
+        "*" => Ok(None),
+        _ => s.parse().map(Some).map_err(|_| bad_target()),
     };
-    let (target, kind) = body
-        .split_once(':')
-        .ok_or_else(|| ShardFaultSpecError::new(format!("missing ':' in {clause:?}")))?;
-    let (shard, replica) = target
-        .split_once('.')
-        .ok_or_else(|| ShardFaultSpecError::new(format!("missing '.' in target {target:?}")))?;
-    let shard = parse_index(shard, clause)?;
-    let replica = parse_index(replica, clause)?;
-    let kind = match kind {
-        "error" => FaultKind::Error,
-        "panic" => FaultKind::Panic,
-        "stall" => FaultKind::Stall,
-        "down" => FaultKind::Down,
-        "down_until_healed" => FaultKind::DownUntilHealed,
-        other => match other.strip_prefix("latency=") {
-            Some(ms) => {
-                let ms: u64 = ms.parse().map_err(|_| {
-                    ShardFaultSpecError::new(format!("bad latency millis in {clause:?}"))
-                })?;
-                FaultKind::Latency(Duration::from_millis(ms))
-            }
-            None => {
-                return Err(ShardFaultSpecError::new(format!(
-                    "unknown fault kind {other:?} in {clause:?}"
-                )))
-            }
-        },
+    let (shard, replica) = clause.target.split_once('.').ok_or_else(bad_target)?;
+    let kind = match (clause.kind, clause.arg) {
+        ("error", None) => FaultKind::Error,
+        ("panic", None) => FaultKind::Panic,
+        ("stall", None) => FaultKind::Stall,
+        ("down", None) => FaultKind::Down,
+        ("down_until_healed", None) => FaultKind::DownUntilHealed,
+        ("latency", _) => FaultKind::Latency(clause.millis()?),
+        _ => return Err(clause.error(FaultSpecReason::UnknownKind)),
     };
     Ok(Plan {
-        shard,
-        replica,
+        shard: index(shard)?,
+        replica: index(replica)?,
         kind,
-        probability,
+        probability: clause.probability.unwrap_or(1.0),
     })
-}
-
-fn parse_index(s: &str, clause: &str) -> Result<Option<usize>, ShardFaultSpecError> {
-    if s == "*" {
-        return Ok(None);
-    }
-    s.parse::<usize>()
-        .map(Some)
-        .map_err(|_| ShardFaultSpecError::new(format!("bad index {s:?} in {clause:?}")))
 }
 
 #[cfg(test)]
@@ -384,6 +317,5 @@ mod tests {
             assert!(ShardFaultInjector::parse(bad).is_err(), "{bad}");
         }
         assert!(ShardFaultInjector::parse("").unwrap().is_none());
-        assert!(!ShardFaultSpecError::usage_hint().is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! Per replica position, the healer runs a small state machine:
 //!
 //! ```text
-//! dead ──► cloning ──► warming ──► probing ──► healthy
+//! dead ──► cloning ──► warming ──► probe ───► healthy
 //!            │            │           │
 //!            └────────────┴───────────┴──► failed (backoff, retry)
 //! ```
@@ -15,7 +15,7 @@
 //! - **cloning**: the shard's table is re-projected from the parent via
 //!   [`muve_dbms::Table::project_rows`] — a bit-identical replica clone
 //!   (same content fingerprint, so cache epochs do not move).
-//! - **warming / probing**: a fresh worker is spawned over the clone and
+//! - **warming / probe**: a fresh worker is spawned over the clone and
 //!   a warm-up sub-query (`COUNT(*)` over the shard) is dispatched
 //!   directly to its queue — **before** the slot swap, so routing never
 //!   sees the replacement until it has proven it can answer. The probe
@@ -113,7 +113,7 @@ pub(crate) fn healer_main(inner: Arc<ShardInner>, stop: Arc<AtomicBool>) {
                 let needs_heal = core.dead.load(Ordering::SeqCst)
                     || core
                         .health
-                        .suspect_since()
+                        .open_since()
                         .is_some_and(|t| now >= t + cfg.suspect_after);
                 if !needs_heal || backoff.get(&key).is_some_and(|&until| now < until) {
                     continue;
@@ -136,7 +136,7 @@ pub(crate) fn healer_main(inner: Arc<ShardInner>, stop: Arc<AtomicBool>) {
 /// replacement made it into the topology.
 fn heal_one(inner: &ShardInner, topo: &Topology, s: usize, r: usize, cfg: &HealConfig) -> bool {
     let started = Instant::now();
-    inner.stats.heal_started();
+    inner.stats.heals_started.incr();
     // Cloning: re-project the shard from the surviving parent data. The
     // projection is bit-identical (same rows, same dictionary codes), so
     // the shard fingerprint — and with it the cache epoch — is unchanged.
@@ -150,21 +150,22 @@ fn heal_one(inner: &ShardInner, topo: &Topology, s: usize, r: usize, cfg: &HealC
     // probe, or the clause would re-kill every replacement.
     inner.injector.mark_healed(s, r);
     // Warming: a fresh worker over the clone, not yet routed to.
-    let core = inner.spawn_replica(s, r, table, &topo.spec);
-    // Probing: the replacement must answer a real sub-query through its
+    let core = inner.spawn_replica(s, r, table);
+    // Probe: the replacement must answer a real sub-query through its
     // own queue before it is re-admitted.
     if !probe(inner, &core, s, r, cfg) {
-        inner.stats.heal_failed();
+        inner.stats.heals_failed.incr();
         return false; // dropping `core` retires the warming worker
     }
     // A resize may have retired this topology mid-heal; swapping into a
     // retired snapshot would heal a layout nobody routes to anymore.
     if inner.generation.load(Ordering::SeqCst) != topo.generation {
-        inner.stats.heal_failed();
+        inner.stats.heals_failed.incr();
         return false;
     }
     topo.replicas[s][r].swap(core);
-    inner.stats.heal_completed(started.elapsed());
+    inner.stats.heals_completed.incr();
+    inner.stats.heal_us.record_duration(started.elapsed());
     true
 }
 
@@ -181,12 +182,12 @@ fn probe(inner: &ShardInner, core: &ReplicaCore, s: usize, r: usize, cfg: &HealC
         hedge: false,
         reply_tx,
     };
-    inner.stats.dispatch();
-    inner.stats.heal_probe();
+    inner.stats.dispatched.incr();
+    inner.stats.heal_probes.incr();
     if core.tx.try_send(job).is_err() {
         // A fresh worker with an empty queue refusing work means it
         // already exited; account the dispatch and give up.
-        inner.stats.reject();
+        inner.stats.rejects.incr();
         return false;
     }
     match reply_rx.recv_timeout(cfg.probe_timeout) {

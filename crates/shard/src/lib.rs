@@ -12,10 +12,12 @@
 //!
 //! The point of the crate is what happens when replicas misbehave:
 //!
-//! - **Replica health** ([`ReplicaHealth`]) — a per-replica circuit
-//!   breaker: consecutive failures trip it to *suspect*, a cooldown-gated
-//!   half-open probe recovers it. Routing load-balances reads across
-//!   healthy replicas.
+//! - **Replica health** — a [`muve_obs::Breaker`] per replica, the same
+//!   state machine `muve-serve` keeps per stage: consecutive failures trip
+//!   it to *suspect*, a cooldown-gated single probe — or any success that
+//!   lands while suspect — recovers it. Routing load-balances reads across
+//!   healthy replicas; a suspect one only sees traffic as its probe, or
+//!   when nothing healthier is left.
 //! - **Hedging** ([`HedgeTracker`]) — sub-queries unanswered after the
 //!   rolling-p99 delay are re-issued to another replica; first answer
 //!   wins, the loser is cancelled but still accounted.
@@ -44,8 +46,15 @@
 //!   identically in CI.
 //!
 //! Every dispatch/reply/outcome lands in flow-conserving counters
-//! ([`ShardStats`]) mirrored into the `shard.*` namespace of the
-//! process-wide [`muve_obs`] metrics registry.
+//! ([`ShardStats`], one [`muve_obs::ledger!`] declaration) mirrored into
+//! the `shard.*` namespace of the process-wide [`muve_obs`] metrics
+//! registry.
+//!
+//! The robustness tuning is constants, not options — the replica breaker
+//! (3 failures, 250 ms), the hedge clamps and window, the per-replica
+//! queue bound (128) and the single scan thread per sub-query each have
+//! one value in use. [`ShardSpec`] is the shape (`N`×`R`) plus
+//! [`HealConfig`].
 
 #![warn(missing_docs)]
 
@@ -53,7 +62,7 @@ mod chaos;
 mod exec;
 mod fault;
 mod heal;
-mod health;
+mod hedge;
 mod set;
 mod stats;
 
@@ -61,8 +70,8 @@ pub use chaos::{ChaosAction, ChaosEvent, ChaosOrchestrator, ChaosScript, ChaosSc
 pub use exec::{
     local_selection, GatherReport, MissingCause, ShardExecOptions, ShardOutcome, ShardedResult,
 };
-pub use fault::{FaultKind, ShardFaultInjector, ShardFaultSpecError};
+pub use fault::{FaultKind, ShardFaultInjector};
 pub use heal::HealConfig;
-pub use health::{HealthConfig, HealthTransition, HedgeConfig, HedgeTracker, ReplicaHealth};
+pub use hedge::HedgeTracker;
 pub use set::{partition_rows, ShardSet, ShardSpec};
 pub use stats::{ShardStats, ShardStatsSnapshot};

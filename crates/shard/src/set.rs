@@ -23,71 +23,56 @@
 use crate::exec::{worker_main, Job};
 use crate::fault::ShardFaultInjector;
 use crate::heal::{healer_main, HealConfig};
-use crate::health::{HedgeTracker, ReplicaHealth};
+use crate::hedge::HedgeTracker;
 use crate::stats::ShardStats;
-use crate::{HealthConfig, HedgeConfig};
 use muve_dbms::Table;
+use muve_obs::{Breaker, BreakerConfig};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Shape and tuning of a shard set.
+/// Bound of each replica's dispatch queue. A slow replica's queue fills
+/// to this depth and further dispatches are *shed* (typed per-replica
+/// overload, counted in `shard.replica_queue_shed` and fed to the breaker)
+/// instead of growing without limit.
+const REPLICA_QUEUE_CAP: usize = 128;
+
+/// Tuning of every replica's breaker: 3 consecutive failures trip a
+/// replica to suspect, and it rests 250 ms before its single probe.
+const REPLICA_BREAKER: BreakerConfig = BreakerConfig {
+    failure_threshold: 3,
+    cooldown: Duration::from_millis(250),
+};
+
+/// Shape of a shard set.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardSpec {
     /// Number of hash partitions (N ≥ 1).
     pub shards: usize,
     /// Replicas per shard (R ≥ 1).
     pub replicas: usize,
-    /// Batch-engine threads per sub-query. Defaults to 1: with N workers
-    /// scanning in parallel, the shards *are* the parallelism, and
-    /// single-threaded sub-queries avoid N×R-fold pool oversubscription.
-    pub worker_threads: usize,
-    /// Bound of each replica's dispatch queue. A slow replica's queue
-    /// fills to this depth and further dispatches are *shed* (typed
-    /// per-replica overload, counted in `shard.replica_queue_shed` and
-    /// fed to the breaker) instead of growing without limit.
-    pub queue_cap: usize,
-    /// Replica breaker knobs.
-    pub health: HealthConfig,
-    /// Hedging knobs.
-    pub hedge: HedgeConfig,
     /// Self-healing knobs (off by default; see [`HealConfig`]).
     pub heal: HealConfig,
 }
 
 impl ShardSpec {
-    /// A spec with `shards`×`replicas` topology and default tuning.
+    /// A `shards`×`replicas` topology with the healer off.
     pub fn new(shards: usize, replicas: usize) -> ShardSpec {
         ShardSpec {
-            shards: shards.max(1),
-            replicas: replicas.max(1),
-            ..ShardSpec::default()
+            shards,
+            replicas,
+            heal: HealConfig::default(),
         }
+        .normalized()
     }
 
     fn normalized(self) -> ShardSpec {
         ShardSpec {
             shards: self.shards.max(1),
             replicas: self.replicas.max(1),
-            worker_threads: self.worker_threads.max(1),
-            queue_cap: self.queue_cap.max(1),
             ..self
-        }
-    }
-}
-
-impl Default for ShardSpec {
-    fn default() -> ShardSpec {
-        ShardSpec {
-            shards: 4,
-            replicas: 2,
-            worker_threads: 1,
-            queue_cap: 128,
-            health: HealthConfig::default(),
-            hedge: HedgeConfig::default(),
-            heal: HealConfig::default(),
         }
     }
 }
@@ -116,7 +101,7 @@ pub(crate) struct ShardData {
 }
 
 /// The live half of one replica: its bounded job queue, liveness flag,
-/// and health state. Immutable once built — the healer *replaces* a
+/// and breaker. Immutable once built — the healer *replaces* a
 /// core rather than mutating it, so a core an in-flight dispatch cloned
 /// stays coherent. Dropping the last `Arc<ReplicaCore>` disconnects the
 /// queue and lets the worker thread drain out.
@@ -124,7 +109,8 @@ pub(crate) struct ShardData {
 pub(crate) struct ReplicaCore {
     pub(crate) tx: mpsc::SyncSender<Job>,
     pub(crate) dead: Arc<AtomicBool>,
-    pub(crate) health: Arc<ReplicaHealth>,
+    /// Closed = healthy (routable), open = suspect (probe or last resort).
+    pub(crate) health: Arc<Breaker>,
 }
 
 /// One replica position in the topology. The slot is the stable address
@@ -228,11 +214,10 @@ impl ShardInner {
         shard: usize,
         replica: usize,
         table: Arc<Table>,
-        spec: &ShardSpec,
     ) -> Arc<ReplicaCore> {
-        let (tx, rx) = mpsc::sync_channel::<Job>(spec.queue_cap.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Job>(REPLICA_QUEUE_CAP);
         let dead = Arc::new(AtomicBool::new(false));
-        let health = Arc::new(ReplicaHealth::new(spec.health));
+        let health = Arc::new(Breaker::new(REPLICA_BREAKER));
         let ctx = (
             table,
             Arc::clone(&dead),
@@ -241,13 +226,12 @@ impl ShardInner {
             Arc::clone(&self.hedge),
             Arc::clone(&self.injector),
         );
-        let threads = spec.worker_threads;
         let join = std::thread::Builder::new()
             .name(format!("muve-shard-s{shard}r{replica}"))
             .spawn(move || {
                 let (table, dead, health, stats, hedge, injector) = ctx;
                 worker_main(
-                    shard, replica, table, dead, health, stats, hedge, injector, threads, rx,
+                    shard, replica, table, dead, health, stats, hedge, injector, rx,
                 );
             })
             .expect("spawn shard worker");
@@ -274,7 +258,7 @@ impl ShardInner {
         for (s, shard) in shards.iter().enumerate() {
             let mut row = Vec::with_capacity(spec.replicas);
             for r in 0..spec.replicas {
-                let core = self.spawn_replica(s, r, Arc::clone(&shard.table), &spec);
+                let core = self.spawn_replica(s, r, Arc::clone(&shard.table));
                 row.push(ReplicaSlot::new(core));
             }
             replicas.push(row);
@@ -370,7 +354,7 @@ impl ShardSet {
             // Placeholder; replaced before the set is visible to anyone.
             topo: RwLock::new(Arc::new(Topology::retired(spec))),
             stats: Arc::new(ShardStats::new()),
-            hedge: Arc::new(HedgeTracker::new(spec.hedge)),
+            hedge: Arc::new(HedgeTracker::default()),
             injector: Arc::new(injector),
             threads: Mutex::new(Vec::new()),
             generation: AtomicU64::new(0),
@@ -398,12 +382,6 @@ impl ShardSet {
             inner,
             healer: Mutex::new(healer),
         }
-    }
-
-    /// The topology and tuning of the *current* layout (resizes change
-    /// the shard/replica counts; the other knobs are carried over).
-    pub fn spec(&self) -> ShardSpec {
-        self.inner.topology().spec
     }
 
     /// The parent table the shards were projected from.
@@ -487,7 +465,7 @@ impl ShardSet {
         let topo = self.inner.build_topology(spec, generation);
         let epoch = topo.epoch;
         *self.inner.topo.write().unwrap_or_else(|e| e.into_inner()) = topo;
-        self.inner.stats.resized();
+        self.inner.stats.resizes.incr();
         epoch
     }
 
@@ -517,7 +495,7 @@ impl ShardSet {
         self.inner.topology().replicas[shard][replica]
             .core()
             .health
-            .is_healthy()
+            .is_closed()
     }
 
     /// Healthy replicas of shard `s` in the current topology.
@@ -527,7 +505,7 @@ impl ShardSet {
             .iter()
             .filter(|slot| {
                 let core = slot.core();
-                core.health.is_healthy() && !core.dead.load(Ordering::SeqCst)
+                core.health.is_closed() && !core.dead.load(Ordering::SeqCst)
             })
             .count()
     }
@@ -538,7 +516,7 @@ impl ShardSet {
         topo.replicas
             .iter()
             .flatten()
-            .filter(|slot| slot.core().health.is_suspect())
+            .filter(|slot| !slot.core().health.is_closed())
             .count()
     }
 

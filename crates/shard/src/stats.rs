@@ -4,251 +4,100 @@
 //! exactly one of `replies_ok` / `replies_err` / `rejects` — workers count
 //! a reply *before* sending it, so even replies the gather abandoned (a
 //! hedge loser, a straggler past the deadline) land in the books. The
-//! failover test (`tests/shard_failover.rs`) asserts the resulting
-//! identities:
+//! counter-only identities are declared with the ledger below and checked
+//! by [`ShardStatsSnapshot::violations`]; the ones that need topology stay
+//! with the suites that know it (`tests/shard_failover.rs`):
 //!
-//! - `dispatched == replies_ok + replies_err + rejects` (after quiesce)
 //! - `dispatched == gathers * shards + hedges_fired + failovers + heal_probes`
 //! - `gathers * shards == shards_served + shards_missing`
-//! - `hedges_won <= hedges_fired`
 //! - `replica_trips == replica_recoveries + currently-suspect replicas`
-//! - `replica_queue_shed <= rejects` (a full queue is one kind of reject)
-//! - `heals_started == heals_completed + heals_failed + heals in flight`
 //!
 //! The gather-count term uses the shard count of each gather's own
 //! topology snapshot, so the taxonomy holds across live resizes (tests
 //! that resize track `Σ gathers·shards(topology)` themselves).
-//!
-//! Each counter is mirrored into the process-wide [`muve_obs`] registry
-//! under a `shard.*` name, so `\stats` and serving dashboards see them
-//! alongside the dbms and pipeline counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use muve_obs::BreakerTransition;
 
-/// Atomic counters of one [`crate::ShardSet`]'s lifetime.
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    gathers: AtomicU64,
-    dispatched: AtomicU64,
-    replies_ok: AtomicU64,
-    replies_err: AtomicU64,
-    rejects: AtomicU64,
-    hedges_fired: AtomicU64,
-    hedges_won: AtomicU64,
-    failovers: AtomicU64,
-    replica_probes: AtomicU64,
-    replica_trips: AtomicU64,
-    replica_recoveries: AtomicU64,
-    shards_served: AtomicU64,
-    shards_missing: AtomicU64,
-    partial_gathers: AtomicU64,
-    replica_queue_shed: AtomicU64,
-    heals_started: AtomicU64,
-    heals_completed: AtomicU64,
-    heals_failed: AtomicU64,
-    heal_probes: AtomicU64,
-    resizes: AtomicU64,
+muve_obs::ledger! {
+    /// Counters of one [`crate::ShardSet`]'s lifetime, each mirrored into
+    /// the process-wide [`muve_obs`] registry under its `shard.*` name, so
+    /// `\stats` and serving dashboards see them alongside the dbms and
+    /// pipeline counters.
+    pub struct ShardStats =>
+    /// A point-in-time copy of [`ShardStats`].
+    pub struct ShardStatsSnapshot {
+        /// Scatter-gathers started.
+        gathers => "shard.scatters",
+        /// Sub-queries handed to replica workers (primaries + hedges +
+        /// failovers + heal probes).
+        dispatched => "shard.subqueries",
+        /// Sub-queries a worker answered successfully (counted even when
+        /// the gather had already moved on).
+        replies_ok => "shard.replies_ok",
+        /// Sub-queries a worker answered with a typed failure.
+        replies_err => "shard.replies_err",
+        /// Dispatches that never reached a worker (its queue was full or
+        /// gone).
+        rejects => "shard.rejects",
+        /// Hedge sub-queries issued after the hedge delay elapsed.
+        hedges_fired => "shard.hedges_fired",
+        /// Gathers where the *hedge* copy answered first.
+        hedges_won => "shard.hedges_won",
+        /// Re-dispatches to another replica after a typed failure.
+        failovers => "shard.failovers",
+        /// Sub-queries routed to a suspect replica as its single probe.
+        replica_probes => "shard.replica_probes",
+        /// Healthy→suspect transitions (consecutive-failure trips).
+        replica_trips => "shard.replica_trips",
+        /// Suspect→healthy transitions (a success while suspect).
+        replica_recoveries => "shard.replica_recoveries",
+        /// Shards that contributed partials to a gather.
+        shards_served => "shard.served_shards",
+        /// Shards a gather gave up on (all replicas down, deadline, cancel).
+        shards_missing => "shard.missing_shards",
+        /// Gathers that completed with some — but not all — shards served.
+        partial_gathers => "shard.partial_gathers",
+        /// Dispatches shed because the target replica's bounded queue was
+        /// full (a typed subset of [`rejects`](Self::rejects)).
+        replica_queue_shed => "shard.replica_queue_shed",
+        /// Heal attempts the healer started (dead or persistently-suspect
+        /// replica detected).
+        heals_started => "shard.heals_started",
+        /// Heals that re-admitted a warmed replacement replica to routing.
+        heals_completed => "shard.heals_completed",
+        /// Heals abandoned (probe failed or a resize retired the topology
+        /// mid-heal).
+        heals_failed => "shard.heals_failed",
+        /// Warm-up sub-queries dispatched to replacement workers (also
+        /// counted in [`dispatched`](Self::dispatched), so the attempt
+        /// taxonomy stays an exact identity).
+        heal_probes => "shard.heal_probes",
+        /// Live topology resizes.
+        resizes => "shard.resizes",
+    }
+    histograms {
+        fanout => "shard.fanout",
+        subquery_us => "shard.subquery_us",
+        gather_us => "shard.gather_us",
+        heal_us => "shard.heal_us",
+    }
+    identities {
+        (dispatched) == (replies_ok + replies_err + rejects);
+        (hedges_won) <= (hedges_fired);
+        (replica_queue_shed) <= (rejects);
+        (heals_started) >= (heals_completed + heals_failed);
+    }
 }
 
 impl ShardStats {
-    pub(crate) fn new() -> ShardStats {
-        ShardStats::default()
-    }
-
-    pub(crate) fn scatter(&self, fanout: usize) {
-        self.gathers.fetch_add(1, Ordering::Relaxed);
-        let m = muve_obs::metrics();
-        m.counter("shard.scatters").incr();
-        m.histogram("shard.fanout").record(fanout as u64);
-    }
-
-    pub(crate) fn dispatch(&self) {
-        self.dispatched.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("shard.subqueries").incr();
-    }
-
-    pub(crate) fn reject(&self) {
-        self.rejects.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("shard.rejects").incr();
-    }
-
-    /// A dispatch shed because the replica's bounded queue was full.
-    /// Always paired with a [`reject`](Self::reject): a shed *is* a
-    /// reject, typed.
-    pub(crate) fn queue_shed(&self) {
-        self.replica_queue_shed.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics()
-            .counter("shard.replica_queue_shed")
-            .incr();
-    }
-
-    pub(crate) fn reply(&self, ok: bool, latency: Duration) {
-        let m = muve_obs::metrics();
-        if ok {
-            self.replies_ok.fetch_add(1, Ordering::Relaxed);
-            m.counter("shard.replies_ok").incr();
-        } else {
-            self.replies_err.fetch_add(1, Ordering::Relaxed);
-            m.counter("shard.replies_err").incr();
-        }
-        m.histogram("shard.subquery_us").record_duration(latency);
-    }
-
-    pub(crate) fn hedge_fired(&self) {
-        self.hedges_fired.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("shard.hedges_fired").incr();
-    }
-
-    pub(crate) fn hedge_won(&self) {
-        self.hedges_won.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("shard.hedges_won").incr();
-    }
-
-    pub(crate) fn failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("shard.failovers").incr();
-    }
-
-    pub(crate) fn probe(&self) {
-        self.replica_probes.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("shard.replica_probes").incr();
-    }
-
-    pub(crate) fn trip(&self) {
-        self.replica_trips.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("shard.replica_trips").incr();
-    }
-
-    pub(crate) fn recovery(&self) {
-        self.replica_recoveries.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics()
-            .counter("shard.replica_recoveries")
-            .incr();
-    }
-
-    pub(crate) fn gather_done(&self, served: usize, missing: usize, elapsed: Duration) {
-        let m = muve_obs::metrics();
-        self.shards_served
-            .fetch_add(served as u64, Ordering::Relaxed);
-        self.shards_missing
-            .fetch_add(missing as u64, Ordering::Relaxed);
-        m.counter("shard.served_shards").add(served as u64);
-        m.counter("shard.missing_shards").add(missing as u64);
-        if missing > 0 && served > 0 {
-            self.partial_gathers.fetch_add(1, Ordering::Relaxed);
-            m.counter("shard.partial_gathers").incr();
-        }
-        m.histogram("shard.gather_us").record_duration(elapsed);
-    }
-
-    pub(crate) fn heal_started(&self) {
-        self.heals_started.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("shard.heals_started").incr();
-    }
-
-    pub(crate) fn heal_completed(&self, elapsed: Duration) {
-        self.heals_completed.fetch_add(1, Ordering::Relaxed);
-        let m = muve_obs::metrics();
-        m.counter("shard.heals_completed").incr();
-        m.histogram("shard.heal_us").record_duration(elapsed);
-    }
-
-    pub(crate) fn heal_failed(&self) {
-        self.heals_failed.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("shard.heals_failed").incr();
-    }
-
-    /// A warm-up sub-query the healer dispatched to a replacement worker
-    /// (counted under `dispatched` too, so the attempt taxonomy stays an
-    /// exact identity).
-    pub(crate) fn heal_probe(&self) {
-        self.heal_probes.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("shard.heal_probes").incr();
-    }
-
-    pub(crate) fn resized(&self) {
-        self.resizes.fetch_add(1, Ordering::Relaxed);
-        muve_obs::metrics().counter("shard.resizes").incr();
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> ShardStatsSnapshot {
-        ShardStatsSnapshot {
-            gathers: self.gathers.load(Ordering::Relaxed),
-            dispatched: self.dispatched.load(Ordering::Relaxed),
-            replies_ok: self.replies_ok.load(Ordering::Relaxed),
-            replies_err: self.replies_err.load(Ordering::Relaxed),
-            rejects: self.rejects.load(Ordering::Relaxed),
-            hedges_fired: self.hedges_fired.load(Ordering::Relaxed),
-            hedges_won: self.hedges_won.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            replica_probes: self.replica_probes.load(Ordering::Relaxed),
-            replica_trips: self.replica_trips.load(Ordering::Relaxed),
-            replica_recoveries: self.replica_recoveries.load(Ordering::Relaxed),
-            shards_served: self.shards_served.load(Ordering::Relaxed),
-            shards_missing: self.shards_missing.load(Ordering::Relaxed),
-            partial_gathers: self.partial_gathers.load(Ordering::Relaxed),
-            replica_queue_shed: self.replica_queue_shed.load(Ordering::Relaxed),
-            heals_started: self.heals_started.load(Ordering::Relaxed),
-            heals_completed: self.heals_completed.load(Ordering::Relaxed),
-            heals_failed: self.heals_failed.load(Ordering::Relaxed),
-            heal_probes: self.heal_probes.load(Ordering::Relaxed),
-            resizes: self.resizes.load(Ordering::Relaxed),
+    /// What a recorded outcome did to a replica's breaker.
+    pub(crate) fn breaker_moved(&self, transition: BreakerTransition) {
+        match transition {
+            BreakerTransition::Opened => self.replica_trips.incr(),
+            BreakerTransition::Closed => self.replica_recoveries.incr(),
+            BreakerTransition::Reopened | BreakerTransition::None => {}
         }
     }
-}
-
-/// A point-in-time copy of [`ShardStats`], with the flow-conservation
-/// arithmetic spelled out as methods.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStatsSnapshot {
-    /// Scatter-gathers started.
-    pub gathers: u64,
-    /// Sub-queries handed to replica workers (primaries + hedges +
-    /// failovers).
-    pub dispatched: u64,
-    /// Sub-queries a worker answered successfully (counted even when the
-    /// gather had already moved on).
-    pub replies_ok: u64,
-    /// Sub-queries a worker answered with a typed failure.
-    pub replies_err: u64,
-    /// Dispatches that never reached a worker (its channel was gone).
-    pub rejects: u64,
-    /// Hedge sub-queries issued after the hedge delay elapsed.
-    pub hedges_fired: u64,
-    /// Gathers where the *hedge* copy answered first.
-    pub hedges_won: u64,
-    /// Re-dispatches to another replica after a typed failure.
-    pub failovers: u64,
-    /// Sub-queries routed to a suspect replica as its half-open probe.
-    pub replica_probes: u64,
-    /// Healthy→suspect transitions (consecutive-failure trips).
-    pub replica_trips: u64,
-    /// Suspect→healthy transitions (successful probes).
-    pub replica_recoveries: u64,
-    /// Shards that contributed partials to a gather.
-    pub shards_served: u64,
-    /// Shards a gather gave up on (all replicas down, deadline, cancel).
-    pub shards_missing: u64,
-    /// Gathers that completed with some — but not all — shards served.
-    pub partial_gathers: u64,
-    /// Dispatches shed because the target replica's bounded queue was
-    /// full (a typed subset of [`rejects`](Self::rejects)).
-    pub replica_queue_shed: u64,
-    /// Heal attempts the healer started (dead or persistently-suspect
-    /// replica detected).
-    pub heals_started: u64,
-    /// Heals that re-admitted a warmed replacement replica to routing.
-    pub heals_completed: u64,
-    /// Heals abandoned (probe failed or a resize retired the topology
-    /// mid-heal).
-    pub heals_failed: u64,
-    /// Warm-up sub-queries dispatched to replacement workers (also
-    /// counted in [`dispatched`](Self::dispatched)).
-    pub heal_probes: u64,
-    /// Live topology resizes.
-    pub resizes: u64,
 }
 
 impl ShardStatsSnapshot {

@@ -620,7 +620,7 @@ impl Shell {
                         self.injector = inj;
                         println!("faults planted: {spec}");
                     }
-                    Err(e) => println!("{e}; {}", muve::pipeline::FaultSpecError::usage_hint()),
+                    Err(e) => println!("{e}; {}", FaultInjector::usage_hint()),
                 },
                 None => println!(
                     "usage: \\inject <stage:kind,...|off> \
@@ -809,10 +809,7 @@ fn main() {
             "--inject-fault" => match args.next().map(|v| FaultInjector::parse(&v)) {
                 Some(Ok(inj)) => shell.injector = inj,
                 Some(Err(e)) => {
-                    eprintln!(
-                        "--inject-fault: {e}; {}",
-                        muve::pipeline::FaultSpecError::usage_hint()
-                    );
+                    eprintln!("--inject-fault: {e}; {}", FaultInjector::usage_hint());
                     std::process::exit(2);
                 }
                 None => {

@@ -8,11 +8,13 @@
 //!   exact request never reads a sampled entry;
 //! - a disabled cache (`--cache-mb 0`, i.e. a zero byte budget) is
 //!   bit-identical to caching never having existed;
-//! - a warm cache returns the same values as a cold one.
+//! - a warm cache returns the same values as a cold one;
+//! - transcripts naming the same predicates in a different order do not
+//!   share a candidate-cache entry.
 
 use muve::core::Planner;
 use muve::data::Dataset;
-use muve::dbms::Table;
+use muve::dbms::{ColumnType, Schema, Table, Value};
 use muve::obs::metrics;
 use muve::pipeline::{
     FaultInjector, Session, SessionCaches, SessionConfig, SessionOutcome, Visualization,
@@ -207,4 +209,66 @@ fn warm_cache_returns_cold_results() {
     let report = caches.stats();
     assert!(report.results.hits >= 1, "never warmed: {report}");
     assert!(report.candidates.hits >= 1, "never warmed: {report}");
+}
+
+/// The candidate cache used to key on the order-insensitive query
+/// fingerprint alone, so the second of two transcripts naming the same
+/// predicates in opposite order was served the first one's candidate
+/// *order* (found by `benchmark/` at seed 7). Cached must equal uncached,
+/// candidate for candidate, whichever transcript warmed the cache.
+#[test]
+fn predicate_order_separates_candidate_cache_entries() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    let schema = Schema::new([
+        ("street", ColumnType::Str),
+        ("agency", ColumnType::Str),
+        ("calls", ColumnType::Int),
+    ]);
+    let mut b = Table::builder("streets", schema);
+    for (i, street) in ["Galoosint", "Wari", "Wucun", "Galoosin", "Warri", "Wukun"]
+        .into_iter()
+        .cycle()
+        .take(60)
+        .enumerate()
+    {
+        let agency = ["NYPD", "NYPT", "DOT"][i % 3];
+        b.push_row([street.into(), agency.into(), Value::Int(i as i64)]);
+    }
+    let table = b.build();
+    let candidates = |transcript: &str, caches: Option<&Arc<SessionCaches>>| {
+        let config = SessionConfig {
+            deadline: Duration::from_secs(10),
+            planner: Planner::Greedy,
+            ..SessionConfig::default()
+        };
+        let mut session = Session::new(&table, config);
+        if let Some(caches) = caches {
+            session = session.with_caches(Arc::clone(caches));
+        }
+        format!("{:?}", session.run(transcript).candidates)
+    };
+
+    let pair = [
+        "total Galoosint Wari Wucun is NYPD",
+        "total NYPD is Galoosint Wari Wucun",
+    ];
+    let uncached = pair.map(|t| candidates(t, None));
+    assert_ne!(uncached[0], uncached[1], "the twins rank differently");
+    let caches = Arc::new(SessionCaches::new(8 << 20));
+    caches.set_table(&table);
+    // Warm with the first twin, ask the second, repeat the first.
+    for i in [0, 1, 0] {
+        assert_eq!(
+            candidates(pair[i], Some(&caches)),
+            uncached[i],
+            "{:?} was served another transcript's candidates",
+            pair[i]
+        );
+    }
+    let report = caches.stats();
+    assert_eq!(report.candidates.inserts, 2, "one entry per twin: {report}");
+    assert_eq!(
+        report.candidates.hits, 1,
+        "the repeat hit its own: {report}"
+    );
 }

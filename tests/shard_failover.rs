@@ -63,7 +63,7 @@ fn assert_flow_conserved(set: &ShardSet) {
     );
     let s = set.stats().snapshot();
     let shards = set.num_shards() as u64;
-    assert_eq!(s.dispatched, s.accounted(), "dispatch ledger: {s:?}");
+    assert_eq!(s.violations(), Vec::<String>::new(), "ledger: {s:?}");
     assert_eq!(
         s.dispatched,
         s.gathers * shards + s.hedges_fired + s.failovers + s.heal_probes,
@@ -74,7 +74,6 @@ fn assert_flow_conserved(set: &ShardSet) {
         s.shards_served + s.shards_missing,
         "per-shard outcomes: {s:?}"
     );
-    assert!(s.hedges_won <= s.hedges_fired, "{s:?}");
     assert_eq!(
         s.replica_trips,
         s.replica_recoveries + set.suspect_replicas() as u64,

@@ -99,6 +99,22 @@ fn fully_healthy(set: &ShardSet) -> bool {
         && set.stats().snapshot().heals_in_flight() == 0
 }
 
+/// Wait for full replication, offering `traffic` meanwhile. The healer
+/// replaces *dead* replicas unprompted, but a live replica can be suspect
+/// too — a hedge loser's cancelled reply counts against its breaker, and
+/// three in a row trip it — and a suspect only recovers through a probe,
+/// which needs a sub-query to ride on (the same reason
+/// `shard_failover.rs` keeps its burst going while it waits).
+fn heals_fully(set: &ShardSet, mut traffic: impl FnMut()) -> bool {
+    wait_for(Duration::from_secs(10), || {
+        if fully_healthy(set) {
+            return true;
+        }
+        traffic();
+        false
+    })
+}
+
 /// One complete seeded chaos run. Returns the orchestrator's canonical
 /// applied-event log (for the replay-identity assertion).
 fn run_seeded_chaos(seed: u64) -> Vec<String> {
@@ -165,8 +181,12 @@ fn run_seeded_chaos(seed: u64) -> Vec<String> {
             .iter()
             .any(|e| matches!(e.action, ChaosAction::Kill { .. }))
         {
+            let mut extra_gather = || {
+                expected_attempts += set.num_shards() as u64;
+                let _ = set.execute(q, ShardExecOptions::default());
+            };
             assert!(
-                wait_for(Duration::from_secs(10), || fully_healthy(&set)),
+                heals_fully(&set, &mut extra_gather),
                 "seed {seed} step {step}: healer failed to re-replicate: {:?}",
                 set.stats().snapshot()
             );
@@ -181,7 +201,9 @@ fn run_seeded_chaos(seed: u64) -> Vec<String> {
         set.stats().snapshot()
     );
     let s = set.stats().snapshot();
-    assert_eq!(s.dispatched, s.accounted(), "dispatch ledger: {s:?}");
+    // Counter-only identities (dispatch ledger, hedges, sheds, heals —
+    // with no heal in flight after quiesce, started = completed + failed).
+    assert_eq!(s.violations(), Vec::<String>::new(), "{s:?}");
     assert_eq!(
         s.dispatched,
         expected_attempts + s.hedges_fired + s.failovers + s.heal_probes,
@@ -196,12 +218,6 @@ fn run_seeded_chaos(seed: u64) -> Vec<String> {
         s.shards_missing, 0,
         "zero query loss means zero lost shards: {s:?}"
     );
-    assert!(s.hedges_won <= s.hedges_fired, "{s:?}");
-    assert_eq!(
-        s.heals_started,
-        s.heals_completed + s.heals_failed,
-        "heal ledger after quiesce: {s:?}"
-    );
     assert!(
         s.heals_completed >= kills,
         "every kill ({kills}) must have healed automatically: {s:?}"
@@ -212,7 +228,14 @@ fn run_seeded_chaos(seed: u64) -> Vec<String> {
         epoch0,
         "final epoch must match the initial layout"
     );
-    assert!(fully_healthy(&set), "no manual revive was ever issued");
+    // The healer is a wall-clock thread: give the last heal time to land.
+    assert!(
+        heals_fully(&set, || {
+            let _ = set.execute(&queries[0], ShardExecOptions::default());
+        }),
+        "no manual revive was ever issued, yet not fully healthy: {:?}",
+        set.stats().snapshot()
+    );
 
     orch.log().to_vec()
 }
@@ -354,7 +377,7 @@ fn full_stack_chaos_serves_identical_exact_answers_while_healing() {
             .any(|e| matches!(e.action, ChaosAction::Kill { .. }))
         {
             assert!(
-                wait_for(Duration::from_secs(10), || fully_healthy(&set)),
+                heals_fully(&set, || drop(post_query(addr, transcripts[0]))),
                 "healer failed mid-soak: {:?}",
                 set.stats().snapshot()
             );
@@ -365,7 +388,11 @@ fn full_stack_chaos_serves_identical_exact_answers_while_healing() {
 
     // Once healed, the health surface is green again and reports the
     // shard layout.
-    assert!(wait_for(Duration::from_secs(10), || fully_healthy(&set)));
+    assert!(
+        heals_fully(&set, || drop(post_query(addr, transcripts[0]))),
+        "not fully healthy after the storm: {:?}",
+        set.stats().snapshot()
+    );
     let health = raw(
         addr,
         b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
@@ -381,13 +408,8 @@ fn full_stack_chaos_serves_identical_exact_answers_while_healing() {
         set.stats().snapshot()
     );
     let s = set.stats().snapshot();
-    assert_eq!(s.dispatched, s.accounted(), "shard ledger: {s:?}");
+    assert_eq!(s.violations(), Vec::<String>::new(), "shard ledger: {s:?}");
     assert_eq!(s.shards_missing, 0, "no served answer was partial: {s:?}");
-    assert_eq!(
-        s.heals_started,
-        s.heals_completed + s.heals_failed,
-        "heal ledger: {s:?}"
-    );
     assert!(s.heals_completed >= 4, "all four kills healed: {s:?}");
     assert_eq!(s.resizes, 2, "{s:?}");
     let serve_stats = server.serve().stats();
