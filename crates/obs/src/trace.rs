@@ -27,8 +27,10 @@ pub enum SpanStatus {
     Panicked,
     /// The stage never ran (an earlier stage short-circuited the run).
     Skipped,
-    /// The stage was cut short by a cancellation point (deadline expiry
-    /// inside the stage, or an explicit watchdog cancel).
+    /// The stage was stopped from outside: cut short by a cancellation
+    /// point (deadline expiry inside the stage, or an explicit watchdog
+    /// cancel), or not started at all because the budget was already
+    /// spent (its output, if any, is the cheapest fallback).
     Cancelled,
     /// The stage hit a memory-governor cap; its output (if any) came from
     /// a cheaper fallback rung.

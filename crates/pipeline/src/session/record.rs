@@ -236,12 +236,24 @@ impl Run {
     /// governor rejection, then any other error, then clean completion. A
     /// non-completed span can still carry fallback output — the span's
     /// rung tells that story.
+    ///
+    /// "θ was spent before the stage started" counts as a cancellation:
+    /// the stage was stopped from outside and never touched its
+    /// dependency, so — like a fired token — it must give the serving
+    /// layer's circuit breakers no signal. Reporting it as `Failed` would
+    /// let a few requests that ran out of time in the queue or in
+    /// translate open the plan breaker and pre-degrade healthy requests.
     fn status(&self, st: StageScope) -> SpanStatus {
         let slice = &self.errors[st.errs_before..];
         let any = |pred: fn(&PipelineError) -> bool| slice.iter().any(pred);
         if any(|e| matches!(e, PipelineError::StagePanic { .. })) {
             SpanStatus::Panicked
-        } else if any(|e| matches!(e, PipelineError::Cancelled { .. })) {
+        } else if any(|e| {
+            matches!(
+                e,
+                PipelineError::Cancelled { .. } | PipelineError::DeadlineExceeded { .. }
+            )
+        }) {
             SpanStatus::Cancelled
         } else if any(|e| matches!(e, PipelineError::ResourceExhausted { .. })) {
             SpanStatus::Exhausted

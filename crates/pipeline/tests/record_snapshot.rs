@@ -145,8 +145,8 @@ rungs ilp -> headline-only\n\
 ";
 const ZERO_DEADLINE: &str = "\
 span  translate completed ilp | interpreted\n\
-span  candidates failed ilp | deadline exhausted; single base candidate\n\
-span  plan failed headline-only | deadline exhausted before planning\n\
+span  candidates cancelled ilp | deadline exhausted; single base candidate\n\
+span  plan cancelled headline-only | deadline exhausted before planning\n\
 span  execute skipped headline-only | \n\
 span  render completed headline-only | rendered on the headline-only rung\n\
 event candidates ilp | deadline exhausted; single base candidate\n\

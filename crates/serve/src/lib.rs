@@ -631,4 +631,54 @@ mod tests {
         );
         server.drain();
     }
+
+    #[test]
+    fn budget_spent_before_a_stage_is_no_breaker_signal() {
+        // θ runs out inside translate (a 2θ latency fault), so candidates
+        // and plan never start. A stage that never ran says nothing about
+        // its dependency: more such requests than the failure threshold
+        // must leave every breaker closed — otherwise a burst of slow
+        // translations pre-degrades the next healthy requests to greedy.
+        let server = Server::new(
+            table(2_000),
+            ServerConfig {
+                // Admission refuses a request whose expected wait (service
+                // EWMA / workers) reaches θ; four workers keep the 2θ
+                // service time of these requests under it.
+                workers: 4,
+                breaker: BreakerConfig {
+                    failure_threshold: 3,
+                    cooldown: Duration::from_secs(30),
+                },
+                ..ServerConfig::default()
+            },
+        );
+        for _ in 0..5 {
+            let late = request(40)
+                .with_injector(FaultInjector::parse("translate:latency=80").expect("spec parses"));
+            match server.submit(late).unwrap().wait() {
+                ServeOutcome::Completed { outcome, .. } => {
+                    for stage in [Stage::Candidates, Stage::Plan] {
+                        assert!(
+                            outcome.errors.iter().any(|e| matches!(
+                                e,
+                                muve_pipeline::PipelineError::DeadlineExceeded { stage: s, .. }
+                                    if *s == stage
+                            )),
+                            "{stage} must not have started: {:?}",
+                            outcome.errors
+                        );
+                    }
+                }
+                other => panic!("expected completion, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            server.breaker_state(Stage::Candidates),
+            BreakerState::Closed
+        );
+        assert_eq!(server.breaker_state(Stage::Plan), BreakerState::Closed);
+        assert_eq!(server.stats().breaker_opens, 0);
+        server.drain();
+    }
 }

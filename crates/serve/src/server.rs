@@ -826,7 +826,8 @@ fn record_breaker_signals(
             SpanStatus::Completed => true,
             SpanStatus::Failed | SpanStatus::Panicked => false,
             // No signal: a skipped stage never ran; a cancelled stage was
-            // stopped from outside (deadline or watchdog), not by its own
+            // stopped from outside (deadline or watchdog — including a
+            // budget already spent before it could start), not by its own
             // dependency; a governor rejection is structural — opening a
             // breaker (which pre-degrades *away* from sampling) could only
             // make the memory pressure worse.
