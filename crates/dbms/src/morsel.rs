@@ -1,18 +1,15 @@
 //! Morsel-driven scan scheduling.
 //!
 //! The batch engine splits a scan into fixed-size *morsels* (64K rows) and
-//! distributes them over a std-only work-stealing pool: each worker owns a
-//! contiguous range of morsel indices and pops from its front; a worker
-//! that runs dry steals the back half of the fullest remaining range. A
-//! shared stop flag short-circuits all workers as soon as one of them
-//! fails (cancellation, memory exhaustion), so abort latency stays bounded
-//! by one in-flight chunk per worker.
-//!
-//! Ranges are packed `lo | hi` into a single `AtomicU64`, so both the
-//! owner's pop and a thief's split are one CAS; a morsel index is claimed
-//! exactly once because every claim is linearized on that atomic.
+//! hands them to a std-only pool of scoped workers through one shared
+//! cursor: a worker claims the next unclaimed morsel index with a single
+//! `fetch_add` and runs it, until the cursor passes the end. A worker is
+//! therefore never idle while a morsel is unclaimed and never waits on
+//! another worker. A shared stop flag short-circuits all workers as soon
+//! as one of them fails (cancellation, memory exhaustion), so abort
+//! latency stays bounded by one in-flight chunk per worker.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Rows per morsel: the unit of work distribution (and of partial-
@@ -48,87 +45,12 @@ pub fn morsels(n_rows: usize, morsel_rows: usize) -> Vec<Morsel> {
     out
 }
 
-/// A range `[lo, hi)` of morsel indices packed into one atomic:
-/// `hi << 32 | lo`. The owning worker pops `lo`; thieves split off the
-/// upper half `[mid, hi)`.
-struct RangeDeque(AtomicU64);
-
-fn pack(lo: u32, hi: u32) -> u64 {
-    (u64::from(hi) << 32) | u64::from(lo)
-}
-
-fn unpack(v: u64) -> (u32, u32) {
-    (v as u32, (v >> 32) as u32)
-}
-
-impl RangeDeque {
-    fn new(lo: u32, hi: u32) -> RangeDeque {
-        RangeDeque(AtomicU64::new(pack(lo, hi)))
-    }
-
-    /// Claim the front index, if any.
-    fn pop_front(&self) -> Option<u32> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (lo, hi) = unpack(cur);
-            if lo >= hi {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(lo + 1, hi),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(lo),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Steal the upper half `[mid, hi)` of the remaining range, leaving
-    /// `[lo, mid)` for the owner. Returns `None` when nothing is left, or
-    /// when only one morsel remains (the split would be empty; the owner
-    /// keeps it).
-    fn steal_half(&self) -> Option<(u32, u32)> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (lo, hi) = unpack(cur);
-            let mid = lo + (hi.saturating_sub(lo)).div_ceil(2);
-            if mid >= hi {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(lo, mid),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((mid, hi)),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Remaining length (racy; used only to pick a steal victim).
-    fn len(&self) -> u32 {
-        let (lo, hi) = unpack(self.0.load(Ordering::Relaxed));
-        hi.saturating_sub(lo)
-    }
-
-    /// Install a freshly stolen range. Only the owner stores, and only
-    /// after its own range drained, so concurrent thief CASes simply
-    /// retry against the new value.
-    fn install(&self, lo: u32, hi: u32) {
-        self.0.store(pack(lo, hi), Ordering::Release);
-    }
-}
-
 /// Run `work(morsel_index)` for every index in `0..n_morsels`, spread over
-/// `threads` workers with range stealing. The first error wins and raises
-/// the shared `stop` flag; remaining workers observe it at their next
-/// morsel boundary (`work` is expected to also poll it at finer grain).
-/// Every morsel is either executed exactly once or abandoned after `stop`.
+/// `threads` workers claiming indices from one shared cursor. The first
+/// error wins and raises the shared `stop` flag; remaining workers observe
+/// it at their next morsel boundary (`work` is expected to also poll it at
+/// finer grain). Every morsel is either executed exactly once or abandoned
+/// after `stop`.
 pub(crate) fn scan_parallel<E, F>(
     n_morsels: usize,
     threads: usize,
@@ -139,7 +61,6 @@ where
     E: Send,
     F: Fn(usize) -> Result<(), E> + Sync,
 {
-    let n = u32::try_from(n_morsels).expect("morsel count fits u32");
     let threads = threads.clamp(1, n_morsels.max(1));
     if threads <= 1 || n_morsels <= 1 {
         for m in 0..n_morsels {
@@ -154,56 +75,27 @@ where
         return Ok(());
     }
 
-    // Static partition of morsel indices, one deque per worker.
-    let deques: Vec<RangeDeque> = (0..threads)
-        .map(|t| {
-            let lo = (u64::from(n) * t as u64 / threads as u64) as u32;
-            let hi = (u64::from(n) * (t as u64 + 1) / threads as u64) as u32;
-            RangeDeque::new(lo, hi)
-        })
-        .collect();
+    // Relaxed is enough: the cursor publishes no data, it only hands out
+    // distinct indices (`fetch_add` is atomic under any ordering), and the
+    // scope's join orders every worker's writes before the caller's reads.
+    let next = AtomicUsize::new(0);
     let first_err: Mutex<Option<E>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
-        for t in 0..threads {
-            let deques = &deques;
-            let first_err = &first_err;
-            let work = &work;
-            scope.spawn(move || {
-                let run = |m: u32| -> bool {
-                    match work(m as usize) {
-                        Ok(()) => true,
-                        Err(e) => {
-                            stop.store(true, Ordering::Relaxed);
-                            let mut slot = first_err.lock().unwrap_or_else(|p| p.into_inner());
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            false
-                        }
-                    }
-                };
-                'outer: while !stop.load(Ordering::Relaxed) {
-                    // Drain our own deque from the front.
-                    while let Some(m) = deques[t].pop_front() {
-                        if stop.load(Ordering::Relaxed) || !run(m) {
-                            break 'outer;
-                        }
-                    }
-                    // Empty: steal the back half of the fullest victim.
-                    let victim = (0..threads)
-                        .filter(|&v| v != t)
-                        .max_by_key(|&v| deques[v].len())
-                        .filter(|&v| deques[v].len() > 0);
-                    let Some(v) = victim else { break };
-                    let Some((lo, hi)) = deques[v].steal_half() else {
-                        continue; // raced with another thief; rescan
-                    };
-                    if stop.load(Ordering::Relaxed) || !run(lo) {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let m = next.fetch_add(1, Ordering::Relaxed);
+                    if m >= n_morsels {
                         break;
                     }
-                    if lo + 1 < hi {
-                        deques[t].install(lo + 1, hi);
+                    if let Err(e) = work(m) {
+                        stop.store(true, Ordering::Relaxed);
+                        let mut slot = first_err.lock().unwrap_or_else(|p| p.into_inner());
+                        if slot.is_none() {
+                            *slot = Some(e);
+                        }
+                        break;
                     }
                 }
             });
@@ -219,7 +111,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn morsel_split_covers_rows_exactly() {
@@ -238,8 +129,8 @@ mod tests {
     }
 
     #[test]
-    fn every_morsel_runs_exactly_once_under_stealing() {
-        // Uneven per-morsel work so fast workers drain early and steal.
+    fn every_morsel_runs_exactly_once_under_contention() {
+        // Uneven per-morsel work so workers reach the cursor out of step.
         let n = 1000;
         let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let stop = AtomicBool::new(false);
