@@ -6,7 +6,7 @@
 //! `batch@1` is the batch engine pinned to one thread (isolates the
 //! vectorized kernels: dictionary-coded predicate compares into selection
 //! bitmaps, chunked accumulation), and `batch` is the batch engine at its
-//! default parallelism (adds morsel work-stealing on multi-core hosts).
+//! default parallelism (adds morsel-parallel workers on multi-core hosts).
 //! Expected shape: `batch` at least 10× the `row` throughput on the
 //! filtered scans, from kernel vectorization alone on a single core.
 

@@ -2,7 +2,7 @@
 //!
 //! The engine behind [`crate::exec::execute_with_opts`]. A scan source
 //! ([`RowBatches`]) is split into [`crate::morsel`] morsels and spread over
-//! a work-stealing pool; inside a morsel, rows are processed in
+//! a shared-cursor pool; inside a morsel, rows are processed in
 //! [`CHUNK_ROWS`]-lane chunks:
 //!
 //! 1. every compiled predicate ANDs the chunk's selection bitmap

@@ -37,7 +37,7 @@ pub struct CostParams {
     pub morsel_rows: usize,
     /// Worker threads the batch engine may spread morsels over.
     pub workers: usize,
-    /// Fixed cost of dispatching one morsel: the work-stealing claim plus
+    /// Fixed cost of dispatching one morsel: the shared-cursor claim plus
     /// partial-accumulator setup, in the same units as the other knobs.
     pub morsel_cost: f64,
     /// CPU cost of materializing one candidate row from a posting list:

@@ -5,7 +5,7 @@
 //! predicate to "always false" without touching a row — and then runs the
 //! morsel-driven batch engine in [`crate::batch`]: chunked predicate
 //! kernels over selection bitmaps, per-morsel partial accumulators, and an
-//! optional work-stealing thread pool. An optional row selection (used for
+//! optional shared-cursor thread pool. An optional row selection (used for
 //! approximate processing over samples, paper §8.2) restricts the scan.
 //!
 //! A row-at-a-time reference implementation ([`execute_reference`]) is

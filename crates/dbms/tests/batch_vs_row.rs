@@ -161,7 +161,7 @@ fn selection_for(n: usize, picks: &[bool]) -> Option<Vec<u32>> {
 /// Engine configurations that exercise the interesting schedules: one
 /// morsel (sequential fast path), many tiny morsels on one thread (partial
 /// combination without parallelism), and many tiny morsels over a real
-/// thread pool (work stealing + combination order).
+/// thread pool (any claim order + combination order).
 fn configs() -> Vec<BatchConfig> {
     vec![
         BatchConfig::default(),

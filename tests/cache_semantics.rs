@@ -8,7 +8,9 @@
 //!   exact request never reads a sampled entry;
 //! - a disabled cache (`--cache-mb 0`, i.e. a zero byte budget) is
 //!   bit-identical to caching never having existed;
-//! - a warm cache returns the same values as a cold one;
+//! - every backend (table, shard set) and cache state (none, cold, warm)
+//!   returns the same values at every fidelity, and a warm cache executes
+//!   nothing;
 //! - transcripts naming the same predicates in a different order do not
 //!   share a candidate-cache entry.
 
@@ -19,6 +21,7 @@ use muve::obs::metrics;
 use muve::pipeline::{
     FaultInjector, Session, SessionCaches, SessionConfig, SessionOutcome, Visualization,
 };
+use muve::shard::{ShardSet, ShardSpec};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -187,28 +190,105 @@ fn zero_budget_cache_is_bit_identical_to_no_cache() {
     assert_eq!(report.plans.lookups, 0, "{report}");
 }
 
+/// One matrix for the one execute path: backend {table, `ShardSet` 2×1} ×
+/// caches {none, cold (single-flight leader), warm (hit)} × fidelity
+/// {exact, sample ladder escalating to exact, finalized on the sample
+/// rung}. Every cell of a fidelity row must show the table/no-cache cell's
+/// values bit for bit and its `approximate` flag, and a warm cell must
+/// execute nothing. A new route to the engine registers here once.
 #[test]
-fn warm_cache_returns_cold_results() {
+fn every_backend_and_cache_state_returns_the_same_results() {
     let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
-    let table = flights();
-    let caches = Arc::new(SessionCaches::new(8 << 20));
-    caches.set_table(&table);
-    let config = || SessionConfig {
+    let table = Arc::new(flights());
+    let set = Arc::new(ShardSet::build(Arc::clone(&table), ShardSpec::new(2, 1)));
+
+    let exact = || SessionConfig {
         deadline: Duration::from_secs(10),
         planner: Planner::Greedy,
         ..SessionConfig::default()
     };
-
-    let cold = run(&table, config(), Some(&caches), None);
-    let warm = run(&table, config(), Some(&caches), None);
-    assert_eq!(
-        format!("{:?}", cold.visualization),
-        format!("{:?}", warm.visualization),
-        "warming the cache changed the answer"
+    // Above the sampling threshold: a 5 % attempt, then exact.
+    let ladder = || SessionConfig {
+        sample_ladder: vec![0.05],
+        sample_threshold_rows: 100,
+        ..exact()
+    };
+    // The same ladder under a deadline the injected execute latency
+    // outlives: the run finalizes on (and caches) the 5 % rung.
+    let sampled = || SessionConfig {
+        deadline: Duration::from_millis(250),
+        ..ladder()
+    };
+    let stall = || Some(FaultInjector::parse("execute:latency=300").expect("spec parses"));
+    type Fidelity<'a> = (
+        &'a str,
+        &'a dyn Fn() -> SessionConfig,
+        &'a dyn Fn() -> Option<FaultInjector>,
+        bool,
     );
-    let report = caches.stats();
-    assert!(report.results.hits >= 1, "never warmed: {report}");
-    assert!(report.candidates.hits >= 1, "never warmed: {report}");
+    let fidelities: [Fidelity; 3] = [
+        ("exact", &exact, &|| None, false),
+        ("ladder", &ladder, &|| None, false),
+        ("sampled", &sampled, &stall, true),
+    ];
+
+    for (fidelity, config, injector, want_approximate) in fidelities {
+        let cell = |sharded: bool, caches: Option<&Arc<SessionCaches>>| {
+            let mut session = Session::shared(Arc::clone(&table), config());
+            if sharded {
+                session = session.with_shards(Arc::clone(&set));
+            }
+            if let Some(caches) = caches {
+                session = session.with_caches(Arc::clone(caches));
+            }
+            if let Some(injector) = injector() {
+                session = session.with_injector(injector);
+            }
+            match session.run(TRANSCRIPT).visualization {
+                Visualization::Multiplot {
+                    results,
+                    approximate,
+                    ..
+                } => {
+                    let bits: Vec<Option<u64>> =
+                        results.iter().map(|v| v.map(f64::to_bits)).collect();
+                    (bits, approximate)
+                }
+                Visualization::Text { message } => panic!("{fidelity}: text: {message}"),
+            }
+        };
+
+        let reference = cell(false, None);
+        assert!(reference.0.iter().any(Option::is_some), "{fidelity}");
+        assert_eq!(reference.1, want_approximate, "{fidelity}");
+        for sharded in [false, true] {
+            let at = format!("{fidelity} / sharded={sharded}");
+            assert_eq!(cell(sharded, None), reference, "{at} / no caches");
+
+            let caches = Arc::new(SessionCaches::new(8 << 20));
+            if sharded {
+                caches.set_shards(&set);
+            } else {
+                caches.set_table(&table);
+            }
+            assert_eq!(cell(sharded, Some(&caches)), reference, "{at} / cold");
+            let cold = caches.stats();
+            assert_eq!(cold.results.hits, 0, "{at} / cold led nothing: {cold}");
+            assert!(cold.results.inserts >= 1, "{at} / cold: {cold}");
+
+            let before = metrics().snapshot();
+            assert_eq!(cell(sharded, Some(&caches)), reference, "{at} / warm");
+            let after = metrics().snapshot();
+            let warm = caches.stats();
+            assert!(warm.results.hits >= 1, "{at} / never warmed: {warm}");
+            assert!(warm.candidates.hits >= 1, "{at} / never warmed: {warm}");
+            assert_eq!(
+                after.counter("dbms.queries") - before.counter("dbms.queries"),
+                0,
+                "{at} / warm cell executed"
+            );
+        }
+    }
 }
 
 /// The candidate cache used to key on the order-insensitive query
