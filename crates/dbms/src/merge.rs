@@ -339,8 +339,9 @@ pub fn extract_merged(rs: &ResultSet, group: &MergeGroup) -> Vec<(usize, Option<
 /// *this* decides, per rewritten query, whether that one scan should even
 /// touch the whole table: a group whose `IN` list resolves to a sliver of
 /// the dictionary takes the inverted-index path, a broad group scans.
-/// Execution ([`execute_merged_with_opts`] →
-/// [`crate::exec::execute_with_opts`]) makes the identical decision
+/// Execution ([`crate::exec::execute_with_opts`] over the group's merged
+/// query — what the session pipeline runs, and what
+/// [`execute_merged_with_opts`] wraps) makes the identical decision
 /// internally; this function is the reporting surface for EXPLAIN-style
 /// output (the CLI shows it next to `\index status`).
 pub fn plan_group_paths(
