@@ -38,8 +38,10 @@ use crate::budget::DeadlineBudget;
 use crate::cache::SessionCaches;
 use crate::error::{PipelineError, Stage};
 use crate::fault::{EscapedPanic, FaultInjector};
-use muve_core::{headline, render_text, Candidate, IlpConfig, IncrementalSchedule, Multiplot};
-use muve_core::{Planner, ScreenConfig, UserCostModel};
+use muve_core::{
+    headline, render_text, Candidate, IlpConfig, IncrementalSchedule, Multiplot, Planner,
+    ScreenConfig, UserCostModel,
+};
 use muve_dbms::{parse, predicate_order_fingerprint, query_fingerprint, Query, Table};
 use muve_nlq::{translate, CandidateGenerator, CandidateKey, CandidateQuery};
 use muve_obs::{CancelToken, MemBudget, MemPool, SessionTrace};

@@ -202,47 +202,40 @@ fn every_backend_and_cache_state_returns_the_same_results() {
     let table = Arc::new(flights());
     let set = Arc::new(ShardSet::build(Arc::clone(&table), ShardSpec::new(2, 1)));
 
-    let exact = || SessionConfig {
+    let exact = SessionConfig {
         deadline: Duration::from_secs(10),
         planner: Planner::Greedy,
         ..SessionConfig::default()
     };
     // Above the sampling threshold: a 5 % attempt, then exact.
-    let ladder = || SessionConfig {
+    let ladder = SessionConfig {
         sample_ladder: vec![0.05],
         sample_threshold_rows: 100,
-        ..exact()
+        ..exact.clone()
     };
     // The same ladder under a deadline the injected execute latency
     // outlives: the run finalizes on (and caches) the 5 % rung.
-    let sampled = || SessionConfig {
+    let sampled = SessionConfig {
         deadline: Duration::from_millis(250),
-        ..ladder()
+        ..ladder.clone()
     };
-    let stall = || Some(FaultInjector::parse("execute:latency=300").expect("spec parses"));
-    type Fidelity<'a> = (
-        &'a str,
-        &'a dyn Fn() -> SessionConfig,
-        &'a dyn Fn() -> Option<FaultInjector>,
-        bool,
-    );
-    let fidelities: [Fidelity; 3] = [
-        ("exact", &exact, &|| None, false),
-        ("ladder", &ladder, &|| None, false),
-        ("sampled", &sampled, &stall, true),
+    let fidelities = [
+        ("exact", exact, None, false),
+        ("ladder", ladder, None, false),
+        ("sampled", sampled, Some("execute:latency=300"), true),
     ];
 
-    for (fidelity, config, injector, want_approximate) in fidelities {
+    for (fidelity, config, fault, want_approximate) in fidelities {
         let cell = |sharded: bool, caches: Option<&Arc<SessionCaches>>| {
-            let mut session = Session::shared(Arc::clone(&table), config());
+            let mut session = Session::shared(Arc::clone(&table), config.clone());
             if sharded {
                 session = session.with_shards(Arc::clone(&set));
             }
             if let Some(caches) = caches {
                 session = session.with_caches(Arc::clone(caches));
             }
-            if let Some(injector) = injector() {
-                session = session.with_injector(injector);
+            if let Some(spec) = fault {
+                session = session.with_injector(FaultInjector::parse(spec).expect("spec parses"));
             }
             match session.run(TRANSCRIPT).visualization {
                 Visualization::Multiplot {
