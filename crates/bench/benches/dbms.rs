@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use muve_data::Dataset;
-use muve_dbms::{execute, execute_merged, parse, plan_merged, Query};
+use muve_dbms::{execute, execute_merged_with_opts, parse, plan_merged, ExecOptions, Query};
 
 fn bench_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("scan_agg");
@@ -58,7 +58,7 @@ fn bench_merged_vs_separate(c: &mut Criterion) {
     c.bench_function("execute_10_candidates/merged", |b| {
         b.iter(|| {
             for g in &groups {
-                black_box(execute_merged(&table, g).unwrap());
+                black_box(execute_merged_with_opts(&table, g, ExecOptions::default()).unwrap());
             }
         })
     });

@@ -9,7 +9,10 @@
 use super::common::{dataset_table, fmt, test_cases, ResultTable, TestCase};
 use muve_core::{ilp_plan, IlpConfig, ScreenConfig, UserCostModel};
 use muve_data::Dataset;
-use muve_dbms::{bernoulli_rows, execute, execute_merged, plan_merged, systematic_rows, Query};
+use muve_dbms::{
+    bernoulli_rows, execute, execute_merged_with_opts, plan_merged, systematic_rows, ExecOptions,
+    Query,
+};
 use muve_sim::mean;
 use std::time::{Duration, Instant};
 
@@ -153,7 +156,7 @@ fn merging_ablation(quick: bool) -> ResultTable {
             sep.push(start.elapsed().as_secs_f64() * 1000.0);
             let start = Instant::now();
             for g in plan_merged(&queries) {
-                let _ = execute_merged(&table, &g);
+                let _ = execute_merged_with_opts(&table, &g, ExecOptions::default());
             }
             mrg.push(start.elapsed().as_secs_f64() * 1000.0);
         }

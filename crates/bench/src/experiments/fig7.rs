@@ -6,7 +6,7 @@
 
 use super::common::{dataset_table, fmt, test_cases, ResultTable};
 use muve_data::Dataset;
-use muve_dbms::{execute, execute_merged, plan_merged, Query};
+use muve_dbms::{execute, execute_merged_with_opts, plan_merged, ExecOptions, Query};
 use muve_sim::{ci95, mean};
 use std::time::Instant;
 
@@ -38,7 +38,7 @@ pub fn run(quick: bool) -> Vec<ResultTable> {
         let start = Instant::now();
         let mut scanned = 0usize;
         for g in plan_merged(&queries) {
-            if let Ok(r) = execute_merged(&table, &g) {
+            if let Ok(r) = execute_merged_with_opts(&table, &g, ExecOptions::default()) {
                 scanned += r.stats.rows_scanned;
             }
         }

@@ -21,7 +21,10 @@ use crate::cost_model::UserCostModel;
 use crate::planner::{plan, plan_incremental, IncrementalSchedule, Planner};
 use crate::plot::{Multiplot, ScreenConfig};
 use crate::query::Candidate;
-use muve_dbms::{estimate, execute_merged, plan_merged, CostParams, ExecError, Query, Table};
+use muve_dbms::{
+    estimate, extract_merged, plan_merged, CostParams, ExecError, ExecOptions, Query, ScanRequest,
+    ScanRows, Table,
+};
 use std::time::{Duration, Instant};
 
 /// How results are presented once a multiplot is planned.
@@ -119,10 +122,12 @@ impl Trace {
     }
 }
 
-/// Execute the shown queries of a multiplot (merged), writing scalar
-/// results into `results`. A group that fails to execute leaves its
-/// members' results untouched and contributes its error to the returned
-/// list — the caller decides whether to degrade, never this function.
+/// Execute the shown queries of a multiplot (merged) over every row, or
+/// over the `(fraction, seed)` sample with count/sum results scaled,
+/// writing scalar results into `results`. A group that fails to execute
+/// leaves its members' results untouched and contributes its error to the
+/// returned list — the caller decides whether to degrade, never this
+/// function.
 fn execute_shown(
     table: &Table,
     candidates: &[Candidate],
@@ -131,40 +136,20 @@ fn execute_shown(
     sample: Option<(f64, u64)>,
 ) -> Vec<ExecError> {
     let queries: Vec<Query> = shown.iter().map(|&i| candidates[i].query.clone()).collect();
-    let groups = plan_merged(&queries);
+    let rows = match sample {
+        None => ScanRows::All,
+        Some((fraction, seed)) => ScanRows::Sample { fraction, seed },
+    };
+    let request = ScanRequest::new(rows, ExecOptions::default());
     let mut errors = Vec::new();
-    for g in &groups {
-        match sample {
-            None => match execute_merged(table, g) {
-                Ok(r) => {
-                    for (local_idx, v) in r.results {
-                        results[shown[local_idx]] = v;
-                    }
-                }
-                Err(e) => errors.push(e),
-            },
-            Some((fraction, seed)) => {
-                // Approximate: execute the merged query over a sample and
-                // scale count/sum results.
-                match muve_dbms::execute_approximate(table, &g.merged, fraction, seed) {
-                    Ok((rs, _realized)) => {
-                        let n_group = g.merged.group_by.len();
-                        for m in &g.members {
-                            let row = match (&m.key, n_group) {
-                                (Some(key), 1) => rs.rows.iter().find(|r| &r[0] == key),
-                                _ => rs.rows.first(),
-                            };
-                            let v = row.and_then(|r| r[n_group + m.agg].as_f64());
-                            let v = match (v, g.merged.aggregates[m.agg].func) {
-                                (None, muve_dbms::AggFunc::Count) => Some(0.0),
-                                (v, _) => v,
-                            };
-                            results[shown[m.index]] = v;
-                        }
-                    }
-                    Err(e) => errors.push(e),
+    for g in &plan_merged(&queries) {
+        match request.run(table, &g.merged) {
+            Ok(rs) => {
+                for (local_idx, v) in extract_merged(&rs, g) {
+                    results[shown[local_idx]] = v;
                 }
             }
+            Err(e) => errors.push(e),
         }
     }
     errors

@@ -1,9 +1,9 @@
 //! Vectorized batch execution: morsel-driven scans over selection bitmaps.
 //!
-//! The engine behind [`crate::exec::execute_with_opts`]. A scan source
-//! ([`RowBatches`]) is split into [`crate::morsel`] morsels and spread over
-//! a shared-cursor pool; inside a morsel, rows are processed in
-//! [`CHUNK_ROWS`]-lane chunks:
+//! The engine behind [`crate::exec::ScanRequest`]. The rows to scan — a
+//! whole table or an explicit row-id selection — are split into
+//! [`crate::morsel`] morsels and spread over a shared-cursor pool; inside
+//! a morsel, rows are processed in [`CHUNK_ROWS`]-lane chunks:
 //!
 //! 1. every compiled predicate ANDs the chunk's selection bitmap
 //!    (`Sel`) with a tight compare loop over the raw column storage —
@@ -64,14 +64,14 @@ impl Default for BatchConfig {
     fn default() -> BatchConfig {
         BatchConfig {
             morsel_rows: MORSEL_ROWS,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: crate::morsel::available_cores(),
         }
     }
 }
 
-/// Rows addressed by one chunk of a scan source.
+/// Rows addressed by one chunk of a scan.
 #[derive(Debug, Clone, Copy)]
-pub enum Rows<'a> {
+enum Rows<'a> {
     /// A dense run of consecutive row ids `start..start + len`.
     Dense {
         /// First row id of the run.
@@ -84,6 +84,18 @@ pub enum Rows<'a> {
 }
 
 impl Rows<'_> {
+    /// The rows at scan positions `start..end`: the positions themselves
+    /// on a full scan (`ids` is `None`), `ids[start..end]` on a selection.
+    fn at(ids: Option<&[u32]>, start: usize, end: usize) -> Rows<'_> {
+        match ids {
+            None => Rows::Dense {
+                start,
+                len: end - start,
+            },
+            Some(ids) => Rows::Ids(&ids[start..end]),
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             Rows::Dense { len, .. } => *len,
@@ -97,58 +109,6 @@ impl Rows<'_> {
             Rows::Dense { start, .. } => start + lane,
             Rows::Ids(ids) => ids[lane] as usize,
         }
-    }
-}
-
-/// A positional scan source consumed by the batch engine in chunks.
-///
-/// Implementations map contiguous scan *positions* `0..len()` to table row
-/// ids: a full scan maps them identically ([`FullScan`]); a sampling
-/// selection maps them through its id array ([`Selection`]); future index
-/// or shard sources return whatever rows their probe yields. Everything
-/// built on the executor — direct queries, `merge.rs` merged scans,
-/// `sample.rs` approximate scans — consumes the engine through this trait.
-pub trait RowBatches: Sync {
-    /// Total number of scan positions.
-    fn len(&self) -> usize;
-
-    /// Whether the source has no rows at all.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The rows at positions `start..end` (`end <= len()`).
-    fn rows(&self, start: usize, end: usize) -> Rows<'_>;
-}
-
-/// Scan every row `0..n` of a table.
-#[derive(Debug, Clone, Copy)]
-pub struct FullScan(pub usize);
-
-impl RowBatches for FullScan {
-    fn len(&self) -> usize {
-        self.0
-    }
-
-    fn rows(&self, start: usize, end: usize) -> Rows<'_> {
-        Rows::Dense {
-            start,
-            len: end - start,
-        }
-    }
-}
-
-/// Scan an explicit (typically sampled) row-id selection.
-#[derive(Debug, Clone, Copy)]
-pub struct Selection<'a>(pub &'a [u32]);
-
-impl RowBatches for Selection<'_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn rows(&self, start: usize, end: usize) -> Rows<'_> {
-        Rows::Ids(&self.0[start..end])
     }
 }
 
@@ -548,6 +508,8 @@ pub(crate) struct CompiledQuery<'a> {
     pub(crate) inputs: Vec<AggInput<'a>>,
     pub(crate) group_inputs: Vec<GroupInput<'a>>,
     pub(crate) agg_names: Vec<String>,
+    /// Rows of the compiling table: what a full scan covers.
+    pub(crate) n_rows: usize,
 }
 
 impl<'a> CompiledQuery<'a> {
@@ -586,6 +548,7 @@ impl<'a> CompiledQuery<'a> {
             inputs,
             group_inputs,
             agg_names,
+            n_rows: table.num_rows(),
         })
     }
 }
@@ -813,13 +776,13 @@ pub(crate) fn materialize_grouped(
 /// concurrently against the shared budget; everything is released when the
 /// execution ends, however it ends, so the governor sees peak in-flight
 /// state (same contract as the reference path's RAII charge).
-struct SharedCharge<'a> {
+pub(crate) struct SharedCharge<'a> {
     mem: Option<&'a MemBudget>,
     bytes: AtomicUsize,
 }
 
 impl<'a> SharedCharge<'a> {
-    fn new(mem: Option<&'a MemBudget>) -> SharedCharge<'a> {
+    pub(crate) fn new(mem: Option<&'a MemBudget>) -> SharedCharge<'a> {
         SharedCharge {
             mem,
             bytes: AtomicUsize::new(0),
@@ -901,7 +864,8 @@ fn group_mode(cq: &CompiledQuery<'_>) -> GroupMode {
     }
 }
 
-/// Per-morsel partial state, combined in morsel order after the scan.
+/// Per-morsel partial state, folded in morsel order after the scan.
+#[derive(Debug)]
 enum Partial {
     Flat(Vec<Acc>),
     Dense { accs: Vec<Acc>, present: Vec<bool> },
@@ -1017,9 +981,9 @@ fn accumulate_hash(
 /// fresh partial. Polls the stop flag and the cancel token at every chunk
 /// boundary and publishes progress as it goes.
 #[allow(clippy::too_many_arguments)]
-fn run_morsel<S: RowBatches + ?Sized>(
+fn run_morsel(
     m: Morsel,
-    source: &S,
+    ids: Option<&[u32]>,
     cq: &CompiledQuery<'_>,
     mode: &GroupMode,
     opts: &ExecOptions<'_>,
@@ -1050,7 +1014,7 @@ fn run_morsel<S: RowBatches + ?Sized>(
             }
         }
         let end = (pos + CHUNK_ROWS).min(m.end);
-        let rows = source.rows(pos, end);
+        let rows = Rows::at(ids, pos, end);
         let len = end - pos;
         let mut sel = Sel::all(len);
         for pred in &cq.preds {
@@ -1075,38 +1039,61 @@ fn run_morsel<S: RowBatches + ?Sized>(
     Ok(partial)
 }
 
-/// Merge grouped partials, in morsel order, into one key-addressed map.
-/// No additional memory is charged here: every group was already charged
-/// when it first appeared in a partial.
-fn combine_grouped(n_accs: usize, partials: Vec<Partial>) -> FxHashMap<Vec<i64>, Vec<Acc>> {
+/// Fold partials, in order, into one flat or hashed partial. A scan's
+/// per-morsel partials (in morsel order) and a gather's per-shard states
+/// (in shard order) go through this same merge, so float sums are
+/// deterministic and a sharded answer is the single-table one. No memory
+/// is charged here: every group was charged when it first appeared.
+fn fold(
+    n_accs: usize,
+    grouped: bool,
+    parts: impl IntoIterator<Item = Partial>,
+) -> Result<Partial, ExecError> {
+    if !grouped {
+        let mut accs = vec![Acc::new(); n_accs];
+        for p in parts {
+            let Partial::Flat(pa) = p else {
+                return Err(ExecError::TypeError(
+                    "grouped partials combined into an ungrouped query".into(),
+                ));
+            };
+            for (a, b) in accs.iter_mut().zip(&pa) {
+                a.merge(b);
+            }
+        }
+        return Ok(Partial::Flat(accs));
+    }
     let mut groups: FxHashMap<Vec<i64>, Vec<Acc>> = FxHashMap::default();
-    for p in partials {
+    let mut merge = |key: Vec<i64>, pa: &[Acc]| {
+        let slot = groups
+            .entry(key)
+            .or_insert_with(|| vec![Acc::new(); n_accs]);
+        for (a, b) in slot.iter_mut().zip(pa) {
+            a.merge(b);
+        }
+    };
+    for p in parts {
         match p {
             Partial::Dense { accs, present } => {
                 for (g, ok) in present.iter().enumerate() {
-                    if !*ok {
-                        continue;
-                    }
-                    let slot = groups
-                        .entry(vec![g as i64])
-                        .or_insert_with(|| vec![Acc::new(); n_accs]);
-                    for (a, b) in slot.iter_mut().zip(&accs[g * n_accs..(g + 1) * n_accs]) {
-                        a.merge(b);
+                    if *ok {
+                        merge(vec![g as i64], &accs[g * n_accs..(g + 1) * n_accs]);
                     }
                 }
             }
             Partial::Hash(map) => {
                 for (k, pa) in map {
-                    let slot = groups.entry(k).or_insert_with(|| vec![Acc::new(); n_accs]);
-                    for (a, b) in slot.iter_mut().zip(&pa) {
-                        a.merge(b);
-                    }
+                    merge(k, &pa);
                 }
             }
-            Partial::Flat(_) => unreachable!("flat partials are combined separately"),
+            Partial::Flat(_) => {
+                return Err(ExecError::TypeError(
+                    "ungrouped partials combined into a grouped query".into(),
+                ))
+            }
         }
     }
-    groups
+    Ok(Partial::Hash(groups))
 }
 
 /// Record abort-path bookkeeping once per execution (the typed-error
@@ -1125,21 +1112,6 @@ fn surface_error(e: ExecError, progress: &Progress<'_>) -> ExecError {
     e
 }
 
-/// Execute `query` over an arbitrary [`RowBatches`] source with the batch
-/// engine. See [`crate::exec::execute_with_opts`] for the semantics; this
-/// entry point additionally lets callers supply their own scan source and
-/// [`BatchConfig`].
-pub fn execute_with_source<S: RowBatches>(
-    table: &Table,
-    query: &Query,
-    source: &S,
-    opts: ExecOptions<'_>,
-    cfg: &BatchConfig,
-) -> Result<ResultSet, ExecError> {
-    let cq = CompiledQuery::compile(table, query)?;
-    run_batch(query, &cq, source, opts, cfg)
-}
-
 /// Reject selections containing row ids beyond the table. The scan
 /// kernels index column slices by `ids[lane] as usize` without bounds
 /// checks (the hot loops trust their source), so ids arriving from
@@ -1155,11 +1127,12 @@ pub(crate) fn validate_selection(table: &Table, ids: &[u32]) -> Result<(), ExecE
     }
 }
 
-/// Execute `query` against `table` through the batch engine — the default
-/// engine behind [`crate::exec::execute_with_opts`]. `selection`
-/// optionally restricts the scan to the given row ids; ids past the end
-/// of the table are rejected with [`ExecError::SelectionOutOfBounds`]
-/// (after query compilation, so query-shape errors keep priority).
+/// Execute `query` against `table` through the batch engine with no
+/// access-path choice: `selection` restricts the scan to the given row
+/// ids, `None` scans every row and never an index. Ids past the end of
+/// the table are rejected with [`ExecError::SelectionOutOfBounds`] (after
+/// query compilation, so query-shape errors keep priority). The routed
+/// equivalent is a [`crate::exec::ScanRequest`].
 pub fn execute_batch(
     table: &Table,
     query: &Query,
@@ -1167,108 +1140,102 @@ pub fn execute_batch(
     opts: ExecOptions<'_>,
     cfg: &BatchConfig,
 ) -> Result<ResultSet, ExecError> {
-    match selection {
-        Some(ids) => {
-            let cq = CompiledQuery::compile(table, query)?;
-            validate_selection(table, ids)?;
-            run_batch(query, &cq, &Selection(ids), opts, cfg)
-        }
-        None => execute_with_source(table, query, &FullScan(table.num_rows()), opts, cfg),
+    let cq = CompiledQuery::compile(table, query)?;
+    if let Some(ids) = selection {
+        validate_selection(table, ids)?;
     }
+    run_scan(&cq, query, selection, &opts, cfg)
 }
 
-/// Morsel-combined aggregate state of one scan, before materialization.
-/// The owned, shippable form of a sub-execution's answer: what one shard
-/// returns from a scatter, and what [`combine_partials`] folds back into a
-/// [`ResultSet`].
-#[derive(Debug)]
-enum PartialState {
-    /// Ungrouped: one accumulator per aggregate.
-    Flat(Vec<Acc>),
-    /// Grouped: accumulators keyed by the composite group key (string
-    /// group parts as dictionary codes of the *compiling* table, so
-    /// partials from projections of one parent share a key space).
-    Grouped(FxHashMap<Vec<i64>, Vec<Acc>>),
-}
-
-/// Scan `source` and combine the per-morsel partials — in morsel order —
-/// into one [`PartialState`]. The first half of an execution; callers
-/// materialize (or ship the state to a combiner) themselves.
-fn scan_partials<S: RowBatches + ?Sized>(
+/// The scan half of every execution: run `cq` over the rows at `ids`
+/// (`None` = every row of the compiling table) and fold the per-morsel
+/// partials, in morsel order, into one [`QueryPartials`]. Group state is
+/// charged to `charge` as it appears; abort bookkeeping (the typed-error
+/// counter, partial-scan accounting) is recorded here, once.
+pub(crate) fn scan_partials(
     cq: &CompiledQuery<'_>,
-    source: &S,
+    ids: Option<&[u32]>,
     opts: &ExecOptions<'_>,
     cfg: &BatchConfig,
-    progress: &Progress<'_>,
     charge: &SharedCharge<'_>,
-) -> Result<PartialState, ExecError> {
-    let ms = morsels(source.len(), cfg.morsel_rows);
+) -> Result<QueryPartials, ExecError> {
+    let progress = Progress::new(opts.progress);
+    let ms = morsels(ids.map_or(cq.n_rows, <[u32]>::len), cfg.morsel_rows);
     let mode = group_mode(cq);
     let stop = AtomicBool::new(false);
     let slots: Vec<Mutex<Option<Partial>>> = ms.iter().map(|_| Mutex::new(None)).collect();
 
-    scan_parallel(ms.len(), cfg.threads, &stop, |mi| {
-        let p = run_morsel(ms[mi], source, cq, &mode, opts, &stop, progress, charge)?;
+    let scanned = scan_parallel(ms.len(), cfg.threads, &stop, |mi| {
+        let p = run_morsel(ms[mi], ids, cq, &mode, opts, &stop, &progress, charge)?;
         *slots[mi].lock().unwrap_or_else(|e| e.into_inner()) = Some(p);
         Ok::<(), ExecError>(())
-    })?;
-
-    let partials: Vec<Partial> = slots
-        .into_iter()
-        .filter_map(|s| s.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .collect();
-    let n_accs = cq.inputs.len();
-    if cq.group_inputs.is_empty() {
-        let mut accs = vec![Acc::new(); n_accs];
-        for p in &partials {
-            let Partial::Flat(pa) = p else {
-                unreachable!("ungrouped execution produces flat partials")
-            };
-            for (a, b) in accs.iter_mut().zip(pa) {
-                a.merge(b);
-            }
-        }
-        Ok(PartialState::Flat(accs))
-    } else {
-        Ok(PartialState::Grouped(combine_grouped(n_accs, partials)))
+    });
+    if let Err(e) = scanned {
+        return Err(surface_error(e, &progress));
     }
+
+    let partials = slots
+        .into_iter()
+        .filter_map(|s| s.into_inner().unwrap_or_else(|e| e.into_inner()));
+    let state = fold(cq.inputs.len(), !cq.group_inputs.is_empty(), partials)?;
+    Ok(QueryPartials {
+        state,
+        stats: progress.stats(),
+    })
 }
 
-fn run_batch<S: RowBatches>(
-    query: &Query,
+/// The one finish of every execution: materialize folded partials, charge
+/// the result against the governor on top of what `charge` already holds,
+/// and record the query's metrics — once per logical query however many
+/// scans fed it, which the single-flight tests rely on.
+fn finish(
     cq: &CompiledQuery<'_>,
-    source: &S,
-    opts: ExecOptions<'_>,
-    cfg: &BatchConfig,
+    query: &Query,
+    parts: QueryPartials,
+    charge: &SharedCharge<'_>,
 ) -> Result<ResultSet, ExecError> {
-    let progress = Progress::new(opts.progress);
-    let charge = SharedCharge::new(opts.mem);
-    let state = match scan_partials(cq, source, &opts, cfg, &progress, &charge) {
-        Ok(s) => s,
-        Err(e) => return Err(surface_error(e, &progress)),
-    };
-    let stats = progress.stats();
-    let rs = match state {
-        PartialState::Flat(accs) => materialize_flat(cq, query, &accs, stats),
-        PartialState::Grouped(groups) => materialize_grouped(cq, query, groups, stats),
+    let rs = match parts.state {
+        Partial::Flat(accs) => materialize_flat(cq, query, &accs, parts.stats),
+        Partial::Hash(groups) => materialize_grouped(cq, query, groups, parts.stats),
+        Partial::Dense { .. } => unreachable!("a folded partial is never dense"),
     };
     if let Err(e) = charge.charge(rs.approx_bytes()) {
-        return Err(surface_error(e, &progress));
+        muve_obs::metrics().counter("dbms.mem_aborts").incr();
+        return Err(e);
     }
     record_query_metrics(&rs.stats);
     Ok(rs)
 }
 
+/// [`scan_partials`] then [`finish`] under one memory charge, so the
+/// result is charged on top of the group state it was built from; a
+/// rejected result still counts the scan's work as a partial scan.
+pub(crate) fn run_scan(
+    cq: &CompiledQuery<'_>,
+    query: &Query,
+    ids: Option<&[u32]>,
+    opts: &ExecOptions<'_>,
+    cfg: &BatchConfig,
+) -> Result<ResultSet, ExecError> {
+    let charge = SharedCharge::new(opts.mem);
+    let parts = scan_partials(cq, ids, opts, cfg, &charge)?;
+    let stats = parts.stats;
+    finish(cq, query, parts, &charge).inspect_err(|_| record_partial_metrics(&stats))
+}
+
 /// Opaque partial-aggregate state of one sub-execution: everything a
 /// distributed combiner needs, none of the materialization. Produced by
-/// [`execute_partials`] on each shard, folded in shard-index order by
-/// [`combine_partials`]. COUNT/SUM/AVG/MIN/MAX all decompose through it —
-/// AVG ships as an exact `(sum, count)` pair and divides only at
-/// materialization, so a sharded AVG is the *same* division the
-/// single-table path performs.
+/// [`ScanRequest::partials`](crate::exec::ScanRequest::partials) on each
+/// shard, folded in shard-index order by [`combine_partials`].
+/// COUNT/SUM/AVG/MIN/MAX all decompose through it — AVG ships as an exact
+/// `(sum, count)` pair and divides only at materialization, so a sharded
+/// AVG is the *same* division the single-table path performs. Grouped
+/// state is keyed by the composite group key, string parts as dictionary
+/// codes of the *compiling* table, so partials from projections of one
+/// parent share a key space.
 #[derive(Debug)]
 pub struct QueryPartials {
-    state: PartialState,
+    state: Partial,
     stats: ExecStats,
 }
 
@@ -1288,45 +1255,6 @@ pub fn validate_query(table: &Table, query: &Query) -> Result<(), ExecError> {
     CompiledQuery::compile(table, query).map(|_| ())
 }
 
-/// Execute the scan half of `query` over `table` (optionally restricted to
-/// `selection` row ids) and return the un-materialized partial-aggregate
-/// state. Error surfacing (cancellation / governor counters, partial-work
-/// accounting) matches [`execute_batch`]; success records nothing — the
-/// gather's [`combine_partials`] records the one logical query, keeping
-/// `dbms.queries` 1:1 with the single-table path.
-pub fn execute_partials(
-    table: &Table,
-    query: &Query,
-    selection: Option<&[u32]>,
-    opts: ExecOptions<'_>,
-    cfg: &BatchConfig,
-) -> Result<QueryPartials, ExecError> {
-    let cq = CompiledQuery::compile(table, query)?;
-    if let Some(ids) = selection {
-        validate_selection(table, ids)?;
-    }
-    let progress = Progress::new(opts.progress);
-    let charge = SharedCharge::new(opts.mem);
-    let run = match selection {
-        Some(ids) => scan_partials(&cq, &Selection(ids), &opts, cfg, &progress, &charge),
-        None => scan_partials(
-            &cq,
-            &FullScan(table.num_rows()),
-            &opts,
-            cfg,
-            &progress,
-            &charge,
-        ),
-    };
-    match run {
-        Ok(state) => Ok(QueryPartials {
-            state,
-            stats: progress.stats(),
-        }),
-        Err(e) => Err(surface_error(e, &progress)),
-    }
-}
-
 /// Fold sub-execution partials — **in the caller's order, which must be
 /// shard-index order for determinism** — into the materialized result the
 /// single-table path would have produced. `table` must be the parent the
@@ -1340,57 +1268,21 @@ pub fn combine_partials(
     opts: ExecOptions<'_>,
 ) -> Result<ResultSet, ExecError> {
     let cq = CompiledQuery::compile(table, query)?;
-    let n_accs = cq.inputs.len();
     let mut stats = ExecStats::default();
     for p in &parts {
         stats.rows_scanned += p.stats.rows_scanned;
         stats.rows_matched += p.stats.rows_matched;
     }
-    let rs = if cq.group_inputs.is_empty() {
-        let mut accs = vec![Acc::new(); n_accs];
-        for p in &parts {
-            let PartialState::Flat(pa) = &p.state else {
-                return Err(ExecError::TypeError(
-                    "grouped partials combined into an ungrouped query".into(),
-                ));
-            };
-            for (a, b) in accs.iter_mut().zip(pa) {
-                a.merge(b);
-            }
-        }
-        materialize_flat(&cq, query, &accs, stats)
-    } else {
-        let mut groups: FxHashMap<Vec<i64>, Vec<Acc>> = FxHashMap::default();
-        for p in parts {
-            let PartialState::Grouped(map) = p.state else {
-                return Err(ExecError::TypeError(
-                    "ungrouped partials combined into a grouped query".into(),
-                ));
-            };
-            for (k, pa) in map {
-                let slot = groups.entry(k).or_insert_with(|| vec![Acc::new(); n_accs]);
-                for (a, b) in slot.iter_mut().zip(&pa) {
-                    a.merge(b);
-                }
-            }
-        }
-        materialize_grouped(&cq, query, groups, stats)
-    };
-    if let Some(m) = opts.mem {
-        let bytes = rs.approx_bytes();
-        m.try_charge(bytes).map_err(|e| {
-            muve_obs::metrics().counter("dbms.mem_aborts").incr();
-            ExecError::from(e)
-        })?;
-        m.release(bytes);
-    }
-    record_query_metrics(&rs.stats);
-    Ok(rs)
+    let states = parts.into_iter().map(|p| p.state);
+    let state = fold(cq.inputs.len(), !cq.group_inputs.is_empty(), states)?;
+    let charge = SharedCharge::new(opts.mem);
+    finish(&cq, query, QueryPartials { state, stats }, &charge)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{ScanRequest, ScanRows};
     use crate::parser::parse;
     use crate::schema::Schema;
     use crate::value::ColumnType;
@@ -1499,7 +1391,9 @@ mod tests {
                     .iter()
                     .map(|rows| {
                         let shard = t.project_rows(rows);
-                        execute_partials(&shard, &q, None, ExecOptions::default(), &cfg).unwrap()
+                        ScanRequest::new(ScanRows::All, ExecOptions::default())
+                            .partials(&shard, &q)
+                            .unwrap()
                     })
                     .collect();
                 let combined = combine_partials(&t, &q, parts, ExecOptions::default()).unwrap();
@@ -1538,7 +1432,9 @@ mod tests {
                     .iter()
                     .map(|rows| {
                         let shard = t.project_rows(rows);
-                        execute_partials(&shard, &q, None, ExecOptions::default(), &cfg).unwrap()
+                        ScanRequest::new(ScanRows::All, ExecOptions::default())
+                            .partials(&shard, &q)
+                            .unwrap()
                     })
                     .collect();
                 let combined = combine_partials(&t, &q, parts, ExecOptions::default()).unwrap();

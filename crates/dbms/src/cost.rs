@@ -56,7 +56,7 @@ impl Default for CostParams {
             cpu_operator_cost: 0.0025,
             page_bytes: 8192,
             morsel_rows: crate::morsel::MORSEL_ROWS,
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: crate::morsel::available_cores(),
             morsel_cost: 0.1,
             index_tuple_cost: 0.5,
         }

@@ -1,12 +1,18 @@
 //! Query executor: scan → filter → aggregate.
 //!
-//! Execution compiles the query once — string constants resolve to
-//! dictionary codes, a constant missing from the dictionary collapses its
-//! predicate to "always false" without touching a row — and then runs the
-//! morsel-driven batch engine in [`crate::batch`]: chunked predicate
-//! kernels over selection bitmaps, per-morsel partial accumulators, and an
-//! optional shared-cursor thread pool. An optional row selection (used for
-//! approximate processing over samples, paper §8.2) restricts the scan.
+//! Every execution enters through one door, [`ScanRequest`]: which rows
+//! to scan ([`ScanRows`]: all of them, an explicit row-id selection, or a
+//! seeded systematic sample for approximate processing, paper §8.2), the
+//! robustness hooks ([`ExecOptions`]) and the engine configuration
+//! ([`BatchConfig`]). The door compiles the query once — string constants
+//! resolve to dictionary codes, a constant missing from the dictionary
+//! collapses its predicate to "always false" without touching a row —
+//! validates a selection, makes the index-vs-scan choice for a full scan,
+//! draws and scales a sample, and runs the morsel-driven batch engine in
+//! [`crate::batch`]: chunked predicate kernels over selection bitmaps,
+//! per-morsel partial accumulators, and an optional shared-cursor thread
+//! pool. [`execute`], [`crate::sample::execute_approximate`] and
+//! [`crate::merge::execute_merged_with_opts`] are thin wrappers over it.
 //!
 //! A row-at-a-time reference implementation ([`execute_reference`]) is
 //! retained as the executable specification: the differential suite
@@ -14,11 +20,15 @@
 
 use crate::ast::Query;
 use crate::batch::{
-    group_state_bytes, materialize_flat, materialize_grouped, Acc, BatchConfig, CompiledQuery,
+    group_state_bytes, materialize_flat, materialize_grouped, run_scan, scan_partials,
+    validate_selection, Acc, BatchConfig, CompiledQuery, QueryPartials, SharedCharge,
 };
+use crate::index::index_candidates;
+use crate::sample::{realized_fraction, scale_result, systematic_rows};
 use crate::table::Table;
 use muve_obs::{CancelToken, MemBudget, MemExhausted};
 use rustc_hash::FxHashMap;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -245,60 +255,111 @@ impl ResultSet {
     }
 }
 
-/// Execute `query` against `table`. `selection` optionally restricts the
-/// scan to the given row ids (used for sampling).
-pub fn execute_with_selection(
-    table: &Table,
-    query: &Query,
-    selection: Option<&[u32]>,
-) -> Result<ResultSet, ExecError> {
-    execute_with_opts(table, query, selection, ExecOptions::default())
+/// Which rows a [`ScanRequest`] scans.
+#[derive(Debug, Clone, Copy)]
+pub enum ScanRows<'a> {
+    /// Every row. A query with a selective equality/`IN` predicate over a
+    /// dictionary column is answered from the inverted indexes of
+    /// [`crate::index`] instead when the access-path planner
+    /// ([`crate::cost::choose_access_path`]) says so; results and typed
+    /// errors are identical either way, only `rows_scanned` shrinks to
+    /// the candidate count.
+    All,
+    /// Exactly these row ids. An id past the end of the table is rejected
+    /// with [`ExecError::SelectionOutOfBounds`].
+    Ids(&'a [u32]),
+    /// The systematic sample [`crate::sample::systematic_rows`] draws for
+    /// `(fraction, seed)`; [`ScanRequest::run`] scales COUNT and SUM by
+    /// the realized fraction.
+    Sample {
+        /// Requested fraction of rows, clamped to `[0, 1]`.
+        fraction: f64,
+        /// Sampling seed.
+        seed: u64,
+    },
 }
 
-/// Execute `query` against `table` under the robustness hooks in `opts`:
-/// the scan aborts with [`ExecError::Cancelled`] at the first cancellation
-/// point after the token fires, and group/result state is charged against
-/// the memory budget, aborting with [`ExecError::ResourceExhausted`] when
-/// a cap is hit. With default `opts` this is exactly
-/// [`execute_with_selection`].
-///
-/// Runs the morsel-driven batch engine with its default configuration;
-/// use [`crate::batch::execute_batch`] to control morsel size and thread
-/// count explicitly.
-///
-/// Full scans additionally consult the access-path planner
-/// ([`crate::cost::choose_access_path`]): when the query carries a
-/// sufficiently selective equality/`IN` predicate over a dictionary
-/// column, candidate rows come from the inverted indexes of
-/// [`crate::index`] and flow through the same batch engine as a row-id
-/// selection. The planner's fallback contract guarantees results and
-/// typed errors are identical either way — only `rows_scanned` shrinks
-/// to the candidate count.
-pub fn execute_with_opts(
-    table: &Table,
-    query: &Query,
-    selection: Option<&[u32]>,
-    opts: ExecOptions<'_>,
-) -> Result<ResultSet, ExecError> {
-    if selection.is_none() {
-        if let Some(ids) = crate::index::index_candidates(table, query, &opts)? {
-            return crate::batch::execute_batch(
-                table,
-                query,
-                Some(&ids),
-                opts,
-                &BatchConfig::default(),
-            );
+/// One execution request, the single entry into the scan engine: direct
+/// queries, merge groups, sampled rungs and shard sub-queries all describe
+/// their scan here. The request compiles the query once, validates a
+/// selection, makes the index-vs-scan choice for [`ScanRows::All`], and
+/// draws and scales a sample.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanRequest<'a> {
+    /// Which rows to scan.
+    pub rows: ScanRows<'a>,
+    /// Cancellation, memory-governor and progress hooks; the default is
+    /// bit-identical to ungoverned execution.
+    pub opts: ExecOptions<'a>,
+    /// Morsel size and scan threads.
+    pub cfg: BatchConfig,
+}
+
+impl<'a> ScanRequest<'a> {
+    /// A request over `rows` under `opts`, with the default engine
+    /// configuration.
+    pub fn new(rows: ScanRows<'a>, opts: ExecOptions<'a>) -> ScanRequest<'a> {
+        ScanRequest {
+            rows,
+            opts,
+            cfg: BatchConfig::default(),
         }
     }
-    crate::batch::execute_batch(table, query, selection, opts, &BatchConfig::default())
+
+    /// The scan half of [`run`](Self::run): the un-materialized partial
+    /// aggregates a shard ships to
+    /// [`combine_partials`](crate::batch::combine_partials) (a sample's
+    /// unscaled). Errors and abort accounting match `run`; success records
+    /// nothing, because the combine records the one logical query.
+    pub fn partials(&self, table: &Table, query: &Query) -> Result<QueryPartials, ExecError> {
+        let cq = CompiledQuery::compile(table, query)?;
+        let ids = self.select(table, query)?;
+        let charge = SharedCharge::new(self.opts.mem);
+        scan_partials(&cq, ids.as_deref(), &self.opts, &self.cfg, &charge)
+    }
+
+    /// Execute `query` against `table`: [`partials`](Self::partials) plus
+    /// the one finish — materialize, charge the result against the memory
+    /// governor, record the query's metrics — then, for a sample, scale.
+    /// The scan aborts with [`ExecError::Cancelled`] at the first chunk
+    /// boundary after the token fires, and with
+    /// [`ExecError::ResourceExhausted`] when a memory cap is hit.
+    pub fn run(&self, table: &Table, query: &Query) -> Result<ResultSet, ExecError> {
+        let cq = CompiledQuery::compile(table, query)?;
+        let ids = self.select(table, query)?;
+        let rs = run_scan(&cq, query, ids.as_deref(), &self.opts, &self.cfg)?;
+        if !matches!(self.rows, ScanRows::Sample { .. }) {
+            return Ok(rs);
+        }
+        muve_obs::metrics().counter("dbms.sample_execs").incr();
+        let realized = realized_fraction(rs.stats.rows_scanned, table.num_rows());
+        Ok(scale_result(rs, query, realized))
+    }
+
+    /// The row ids to scan (`None` = every row): the caller's validated
+    /// ids, the index candidates when the planner takes the index path,
+    /// or a drawn sample.
+    fn select(&self, table: &Table, query: &Query) -> Result<Option<Cow<'a, [u32]>>, ExecError> {
+        Ok(match self.rows {
+            ScanRows::All => index_candidates(table, query, &self.opts)?.map(Cow::Owned),
+            ScanRows::Ids(ids) => {
+                validate_selection(table, ids)?;
+                Some(Cow::Borrowed(ids))
+            }
+            ScanRows::Sample { fraction, seed } => Some(Cow::Owned(systematic_rows(
+                table.num_rows(),
+                fraction,
+                seed,
+            ))),
+        })
+    }
 }
 
 /// Row-at-a-time reference executor, retained as the differential oracle
 /// for the batch engine (`tests/batch_vs_row.rs`) and as the readable
 /// specification of execution semantics: same compiled plan, same
 /// materialization, same typed errors and metrics contracts as
-/// [`execute_with_opts`] — only the scan loop differs.
+/// [`ScanRequest::run`] — only the scan loop differs.
 pub fn execute_reference(
     table: &Table,
     query: &Query,
@@ -307,7 +368,7 @@ pub fn execute_reference(
 ) -> Result<ResultSet, ExecError> {
     let cq = CompiledQuery::compile(table, query)?;
     if let Some(ids) = selection {
-        crate::batch::validate_selection(table, ids)?;
+        validate_selection(table, ids)?;
     }
     let mut scanned = 0usize;
     let mut matched = 0usize;
@@ -467,9 +528,10 @@ pub(crate) fn record_partial_metrics(stats: &ExecStats) {
         .add(stats.rows_matched as u64);
 }
 
-/// Execute `query` against `table` over all rows.
+/// Execute `query` against `table` over all rows: a [`ScanRows::All`]
+/// request with default hooks.
 pub fn execute(table: &Table, query: &Query) -> Result<ResultSet, ExecError> {
-    execute_with_selection(table, query, None)
+    ScanRequest::new(ScanRows::All, ExecOptions::default()).run(table, query)
 }
 
 #[cfg(test)]
@@ -580,7 +642,9 @@ mod tests {
     fn selection_restricts_scan() {
         let t = flights();
         let q = parse("select count(*) from flights").unwrap();
-        let r = execute_with_selection(&t, &q, Some(&[0, 2, 4])).unwrap();
+        let r = ScanRequest::new(ScanRows::Ids(&[0, 2, 4]), ExecOptions::default())
+            .run(&t, &q)
+            .unwrap();
         assert_eq!(r.scalar(), Some(3.0));
         assert_eq!(r.stats.rows_scanned, 3);
     }
@@ -698,13 +762,19 @@ mod robustness_tests {
         b.build()
     }
 
+    fn run_all(t: &Table, q: &Query, opts: ExecOptions<'_>) -> Result<ResultSet, ExecError> {
+        ScanRequest::new(ScanRows::All, opts).run(t, q)
+    }
+
     #[test]
     fn default_opts_bit_identical() {
         let t = big(10_000);
         let q = parse("select sum(v) from t where v < 50 group by v").unwrap();
-        let a = execute_with_selection(&t, &q, None).unwrap();
-        let b = execute_with_opts(&t, &q, None, ExecOptions::default()).unwrap();
-        assert_eq!(a, b);
+        let a = execute(&t, &q).unwrap();
+        let door = ScanRequest::new(ScanRows::All, ExecOptions::default());
+        let parts = door.partials(&t, &q).unwrap();
+        let b = crate::batch::combine_partials(&t, &q, vec![parts], ExecOptions::default());
+        assert_eq!(a, b.unwrap());
     }
 
     #[test]
@@ -715,7 +785,7 @@ mod robustness_tests {
             "select avg(v), min(k), max(k) from t",
         ] {
             let q = parse(sql).unwrap();
-            let a = execute_with_opts(&t, &q, None, ExecOptions::default()).unwrap();
+            let a = execute(&t, &q).unwrap();
             let b = execute_reference(&t, &q, None, ExecOptions::default()).unwrap();
             assert_eq!(a, b, "{sql}");
         }
@@ -731,14 +801,11 @@ mod robustness_tests {
             cancel: Some(&token),
             ..ExecOptions::default()
         };
-        assert_eq!(
-            execute_with_opts(&t, &q, None, opts),
-            Err(ExecError::Cancelled)
-        );
+        assert_eq!(run_all(&t, &q, opts), Err(ExecError::Cancelled));
         // Selection path too.
         let rows: Vec<u32> = (0..100_000).collect();
         assert_eq!(
-            execute_with_opts(&t, &q, Some(&rows), opts),
+            ScanRequest::new(ScanRows::Ids(&rows), opts).run(&t, &q),
             Err(ExecError::Cancelled)
         );
     }
@@ -756,7 +823,7 @@ mod robustness_tests {
             cancel: Some(&token),
             ..ExecOptions::default()
         };
-        let _ = execute_with_opts(&t, &q, None, opts);
+        let _ = run_all(&t, &q, opts);
         assert_eq!(queries.get(), q0, "cancelled run must not count");
         assert_eq!(cancelled.get() - c0, 1);
     }
@@ -778,10 +845,7 @@ mod robustness_tests {
             mem: None,
             progress: Some(&progress),
         };
-        assert_eq!(
-            execute_with_opts(&t, &q, None, opts),
-            Err(ExecError::Cancelled)
-        );
+        assert_eq!(run_all(&t, &q, opts), Err(ExecError::Cancelled));
         assert_eq!(partial.get() - p0, 1, "aborted execution counted");
         // Pre-cancelled token: zero rows is correct — the point is that
         // the counters are written at all on the error path.
@@ -799,7 +863,7 @@ mod robustness_tests {
             mem: Some(&mem),
             ..ExecOptions::default()
         };
-        match execute_with_opts(&t, &q, None, opts) {
+        match run_all(&t, &q, opts) {
             Err(ExecError::ResourceExhausted { global: false, .. }) => {}
             other => panic!("expected per-request exhaustion, got {other:?}"),
         }
@@ -816,7 +880,7 @@ mod robustness_tests {
             mem: Some(&mem),
             ..ExecOptions::default()
         };
-        let rs = execute_with_opts(&t, &q, None, opts).unwrap();
+        let rs = run_all(&t, &q, opts).unwrap();
         assert_eq!(rs.rows.len(), 20_000);
         assert_eq!(pool.used(), 0, "transient state returned to the pool");
         drop(mem);
@@ -834,7 +898,7 @@ mod robustness_tests {
             mem: Some(&mem),
             ..ExecOptions::default()
         };
-        let rs = execute_with_opts(&t, &q, None, opts).unwrap();
+        let rs = run_all(&t, &q, opts).unwrap();
         assert_eq!(rs.rows.len(), 100);
     }
 }

@@ -26,7 +26,6 @@
 //! run in less memory than the index would need.
 
 use crate::ast::{PredOp, Query};
-use crate::batch::validate_query;
 use crate::column::ColumnData;
 use crate::cost::{choose_access_path, AccessPath, CostParams};
 use crate::exec::{
@@ -543,8 +542,9 @@ fn pred_row_set(
 /// its indexable predicates need and return the sorted candidate row-id
 /// list, bypassing the planner. `Ok(None)` when no predicate is
 /// indexable. Used by the CLI's `\index build`, the benchmark harness,
-/// and tests; normal execution goes through [`index_candidates`], which
-/// adds the planner gate and fallback semantics.
+/// and tests; normal execution probes through a
+/// [`ScanRows::All`](crate::exec::ScanRows::All) request, which adds the
+/// planner gate and fallback semantics.
 pub fn probe_candidates(
     table: &Table,
     query: &Query,
@@ -637,25 +637,26 @@ pub fn probe_candidates(
     Ok(Some(candidates))
 }
 
-/// Planner-gated index probe used by `execute_with_opts` routing.
+/// Planner-gated index probe: the index-vs-scan choice of a
+/// [`ScanRows::All`](crate::exec::ScanRows::All) request, which is its
+/// only caller and has already compiled the query (so a query error
+/// surfaces before any probe).
 ///
 /// Returns `Ok(Some(ids))` only when the index path is both *chosen*
 /// (cost model) and *serviceable*; every degraded condition returns
-/// `Ok(None)` so the caller falls back to the batch scan, which then
+/// `Ok(None)` so the request falls back to the batch scan, which then
 /// surfaces the canonical error or result. Concretely:
 ///
 /// - registry disabled, planner prefers the scan, or no indexable
 ///   predicate → `Ok(None)`;
 /// - token already fired → `Ok(None)` (the scan path surfaces the
 ///   canonical [`ExecError::Cancelled`] with its usual metrics);
-/// - query fails compilation → `Ok(None)` (the scan path surfaces the
-///   compile error, preserving error ordering);
 /// - the governor rejects the build or the candidate list →
 ///   `index.mem_fallbacks` + `Ok(None)` — the scan needs less transient
 ///   memory, so degrading is strictly safer;
 /// - the token fires *mid*-build/probe → `Err(Cancelled)` with the
 ///   executor's partial-scan accounting (nothing partial is retained).
-pub fn index_candidates(
+pub(crate) fn index_candidates(
     table: &Table,
     query: &Query,
     opts: &ExecOptions<'_>,
@@ -665,9 +666,6 @@ pub fn index_candidates(
         return Ok(None);
     }
     if opts.cancel.is_some_and(|t| t.should_stop()) {
-        return Ok(None);
-    }
-    if validate_query(table, query).is_err() {
         return Ok(None);
     }
     match choose_access_path(table, query, &CostParams::default()) {

@@ -44,8 +44,7 @@ pub mod value;
 
 pub use ast::{AggFunc, Aggregate, CmpOp, PredOp, Predicate, Query};
 pub use batch::{
-    combine_partials, execute_batch, execute_partials, execute_with_source, validate_query,
-    BatchConfig, FullScan, QueryPartials, RowBatches, Rows, Selection, CHUNK_ROWS,
+    combine_partials, execute_batch, validate_query, BatchConfig, QueryPartials, CHUNK_ROWS,
 };
 pub use column::{Column, ColumnData, Dictionary};
 pub use cost::{
@@ -57,25 +56,22 @@ pub use csv::{
     table_from_csv_str_with_limits, CsvError, CsvLimits,
 };
 pub use exec::{
-    execute, execute_reference, execute_with_opts, execute_with_selection, ExecError, ExecOptions,
-    ExecStats, ResultSet, ScanProgress, CANCEL_STRIDE,
+    execute, execute_reference, ExecError, ExecOptions, ExecStats, ResultSet, ScanProgress,
+    ScanRequest, ScanRows, CANCEL_STRIDE,
 };
 pub use fingerprint::{canon_ident, predicate_order_fingerprint, query_fingerprint};
 pub use index::{
-    build_indexes, index_candidates, index_registry, probe_candidates, ColumnIndex, IndexRegistry,
-    IndexStatus, Postings,
+    build_indexes, index_registry, probe_candidates, ColumnIndex, IndexRegistry, IndexStatus,
+    Postings,
 };
 pub use merge::{
-    execute_merged, execute_merged_with_opts, extract_merged, merge_is_beneficial,
-    plan_group_paths, plan_merged, MergeGroup, MergeMember, MergedResults,
+    execute_merged_with_opts, extract_merged, merge_is_beneficial, plan_group_paths, plan_merged,
+    MergeGroup, MergeMember, MergedResults,
 };
 pub use morsel::{morsels, Morsel, MORSEL_ROWS};
 pub use parser::{parse, ParseError};
 pub use result_cache::{fidelity_key, ResultCache, ResultKey, FIDELITY_EXACT};
-pub use sample::{
-    bernoulli_rows, execute_approximate, execute_approximate_with_opts, scale_result,
-    systematic_rows,
-};
+pub use sample::{bernoulli_rows, execute_approximate, scale_result, systematic_rows};
 pub use schema::{ColumnDef, Schema};
 pub use table::{Database, Table, TableBuilder};
 pub use value::{ColumnType, Value};

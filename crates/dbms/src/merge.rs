@@ -11,7 +11,7 @@
 
 use crate::ast::{Aggregate, PredOp, Predicate, Query};
 use crate::cost::{choose_access_path, estimate, AccessPath, CostParams};
-use crate::exec::{execute, execute_with_opts, ExecError, ExecOptions, ExecStats, ResultSet};
+use crate::exec::{ExecError, ExecOptions, ExecStats, ResultSet, ScanRequest, ScanRows};
 use crate::fingerprint::canon_ident;
 use crate::table::Table;
 use crate::value::Value;
@@ -285,28 +285,26 @@ pub struct MergedResults {
     pub stats: ExecStats,
 }
 
-/// Execute one merge group against `table`.
-pub fn execute_merged(table: &Table, group: &MergeGroup) -> Result<MergedResults, ExecError> {
-    let rs = execute(table, &group.merged)?;
+/// Execute one merge group against `table`: its merged query as a
+/// [`ScanRows::All`] request under `opts` (the merged scan, including its
+/// grouped aggregation state, honours the same cancellation and memory
+/// governor as direct execution), then each member's scalar through
+/// [`extract_merged`].
+pub fn execute_merged_with_opts(
+    table: &Table,
+    group: &MergeGroup,
+    opts: ExecOptions<'_>,
+) -> Result<MergedResults, ExecError> {
+    let rs = ScanRequest::new(ScanRows::All, opts).run(table, &group.merged)?;
     Ok(MergedResults {
         results: extract_merged(&rs, group),
         stats: rs.stats,
     })
 }
 
-/// Execute one merge group under cancellation / memory-governor hooks:
-/// the merged scan (including its grouped aggregation state) honours the
-/// same [`ExecOptions`] as direct execution.
-pub fn execute_merged_with_opts(
-    table: &Table,
-    group: &MergeGroup,
-    opts: ExecOptions<'_>,
-) -> Result<MergedResults, ExecError> {
-    let rs = execute_with_opts(table, &group.merged, None, opts)?;
-    Ok(MergedResults {
-        results: extract_merged(&rs, group),
-        stats: rs.stats,
-    })
+#[cfg(test)]
+fn run_merged(table: &Table, group: &MergeGroup) -> Result<MergedResults, ExecError> {
+    execute_merged_with_opts(table, group, ExecOptions::default())
 }
 
 /// Recover each member's scalar from a merged [`ResultSet`] — whether that
@@ -339,11 +337,11 @@ pub fn extract_merged(rs: &ResultSet, group: &MergeGroup) -> Vec<(usize, Option<
 /// *this* decides, per rewritten query, whether that one scan should even
 /// touch the whole table: a group whose `IN` list resolves to a sliver of
 /// the dictionary takes the inverted-index path, a broad group scans.
-/// Execution ([`crate::exec::execute_with_opts`] over the group's merged
-/// query — what the session pipeline runs, and what
-/// [`execute_merged_with_opts`] wraps) makes the identical decision
-/// internally; this function is the reporting surface for EXPLAIN-style
-/// output (the CLI shows it next to `\index status`).
+/// Execution — a [`ScanRows::All`] request over the group's merged query,
+/// which is what the session pipeline and [`execute_merged_with_opts`]
+/// run — makes the identical decision internally; this function is the
+/// reporting surface for EXPLAIN-style output (the CLI shows it next to
+/// `\index status`).
 pub fn plan_group_paths(
     table: &Table,
     groups: &[MergeGroup],
@@ -378,6 +376,7 @@ pub fn merge_is_beneficial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::execute;
     use crate::parser::parse;
     use crate::schema::Schema;
     use crate::value::ColumnType;
@@ -420,7 +419,7 @@ mod tests {
         let g = &groups[0];
         assert_eq!(g.merged.group_by, vec!["origin".to_string()]);
         assert_eq!(g.members.len(), 3);
-        let r = execute_merged(&flights(), g).unwrap();
+        let r = run_merged(&flights(), g).unwrap();
         let by_index: FxHashMap<usize, Option<f64>> = r.results.iter().cloned().collect();
         assert_eq!(by_index[&0], Some(70.0));
         assert_eq!(by_index[&1], Some(80.0));
@@ -438,7 +437,7 @@ mod tests {
         let groups = plan_merged(&queries);
         let mut merged_results = vec![None; queries.len()];
         for g in &groups {
-            for (idx, v) in execute_merged(&t, g).unwrap().results {
+            for (idx, v) in run_merged(&t, g).unwrap().results {
                 merged_results[idx] = v;
             }
         }
@@ -456,7 +455,7 @@ mod tests {
         ];
         let groups = plan_merged(&queries);
         assert_eq!(groups.len(), 1);
-        let r = execute_merged(&flights(), &groups[0]).unwrap();
+        let r = run_merged(&flights(), &groups[0]).unwrap();
         let by_index: FxHashMap<usize, Option<f64>> = r.results.iter().cloned().collect();
         assert_eq!(by_index[&1], Some(0.0));
     }
@@ -472,7 +471,7 @@ mod tests {
         let g = &groups[0];
         assert_eq!(g.merged.aggregates.len(), 2);
         assert!(g.merged.group_by.is_empty());
-        let r = execute_merged(&flights(), g).unwrap();
+        let r = run_merged(&flights(), g).unwrap();
         let by_index: FxHashMap<usize, Option<f64>> = r.results.iter().cloned().collect();
         assert_eq!(by_index[&0], Some(70.0));
         assert!((by_index[&1].unwrap() - 70.0 / 3.0).abs() < 1e-9);
@@ -488,7 +487,7 @@ mod tests {
         assert_eq!(groups.len(), 1);
         let g = &groups[0];
         assert_eq!(g.merged.group_by, vec!["carrier".to_string()]);
-        let r = execute_merged(&flights(), g).unwrap();
+        let r = run_merged(&flights(), g).unwrap();
         let by_index: FxHashMap<usize, Option<f64>> = r.results.iter().cloned().collect();
         assert_eq!(by_index[&0], Some(2.0));
         assert_eq!(by_index[&1], Some(1.0));
@@ -583,7 +582,7 @@ mod tests {
             q("select count(*) from flights where origin = 'LGA'"),
         ];
         let groups = plan_merged(&queries);
-        let r = execute_merged(&t, &groups[0]).unwrap();
+        let r = run_merged(&t, &groups[0]).unwrap();
         assert_eq!(r.stats.rows_scanned, t.num_rows());
     }
 }
@@ -613,7 +612,7 @@ mod duplicate_column_tests {
         let groups = plan_merged(&queries);
         let mut results = vec![None; queries.len()];
         for g in &groups {
-            for (idx, v) in execute_merged(&t, g).unwrap().results {
+            for (idx, v) in run_merged(&t, g).unwrap().results {
                 results[idx] = v;
             }
         }
@@ -653,7 +652,7 @@ mod cmp_merge_tests {
         assert_eq!(groups[0].merged.group_by, vec!["k".to_string()]);
         let table = t();
         let mut results = [None; 2];
-        for (i, v) in execute_merged(&table, &groups[0]).unwrap().results {
+        for (i, v) in run_merged(&table, &groups[0]).unwrap().results {
             results[i] = v;
         }
         for (i, q) in queries.iter().enumerate() {
@@ -677,7 +676,7 @@ mod cmp_merge_tests {
         let groups = plan_merged(&queries);
         let mut results = [None; 2];
         for g in &groups {
-            for (i, v) in execute_merged(&table, g).unwrap().results {
+            for (i, v) in run_merged(&table, g).unwrap().results {
                 results[i] = v;
             }
         }
@@ -714,14 +713,14 @@ mod cmp_merge_tests {
         let merged = groups.iter().find(|g| g.members.len() == 2).unwrap();
         let table = t();
         let mut results = [None; 3];
-        for (i, v) in execute_merged(&table, merged).unwrap().results {
+        for (i, v) in run_merged(&table, merged).unwrap().results {
             results[i] = v;
         }
         assert_eq!(results[0], Some(4.0));
         assert_eq!(results[2], Some(4.0));
         // Executing the singleton errors gracefully (no aggregates) rather
         // than panicking.
-        assert!(execute_merged(&table, single).is_err());
+        assert!(run_merged(&table, single).is_err());
     }
 
     #[test]
@@ -736,7 +735,7 @@ mod cmp_merge_tests {
         assert_eq!(groups[0].merged.aggregates.len(), 3);
         let table = t();
         let mut results = [None; 3];
-        for (i, v) in execute_merged(&table, &groups[0]).unwrap().results {
+        for (i, v) in run_merged(&table, &groups[0]).unwrap().results {
             results[i] = v;
         }
         assert_eq!(results[0], Some(51.0)); // 6+..+11

@@ -10,13 +10,22 @@
 //! latency stays bounded by one in-flight chunk per worker.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Rows per morsel: the unit of work distribution (and of partial-
 /// accumulator granularity). Large enough that scheduling overhead
 /// vanishes, small enough that a multi-million-row scan spreads evenly
 /// over the pool.
 pub const MORSEL_ROWS: usize = 64 * 1024;
+
+/// Cores available to this process, read once: `available_parallelism`
+/// costs a `sched_getaffinity` plus a cgroup-quota read on Linux, too much
+/// to repeat on every execution. Both engine defaults
+/// (`BatchConfig::default`, `CostParams::default`) derive from this value.
+pub(crate) fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// One unit of scan work: a half-open row range of the scan source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

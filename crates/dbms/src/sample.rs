@@ -8,7 +8,7 @@
 //! as-is).
 
 use crate::ast::{AggFunc, Query};
-use crate::exec::{execute_with_opts, ExecError, ExecOptions, ResultSet};
+use crate::exec::{ExecError, ExecOptions, ResultSet, ScanRequest, ScanRows};
 use crate::table::Table;
 use crate::value::Value;
 use rand::rngs::StdRng;
@@ -71,35 +71,31 @@ pub fn bernoulli_rows(n_rows: usize, fraction: f64, seed: u64) -> Vec<u32> {
     out
 }
 
-/// Execute `query` over a Bernoulli sample of `table` and scale the result
-/// to estimate the full answer. Returns the scaled result together with the
-/// realized sample fraction.
+/// Execute `query` over a systematic sample ([`systematic_rows`]) of
+/// `table` and scale the result to estimate the full answer: a
+/// [`ScanRows::Sample`] request that also returns the realized sample
+/// fraction.
 pub fn execute_approximate(
     table: &Table,
     query: &Query,
     fraction: f64,
     seed: u64,
 ) -> Result<(ResultSet, f64), ExecError> {
-    execute_approximate_with_opts(table, query, fraction, seed, ExecOptions::default())
+    let rows = ScanRows::Sample { fraction, seed };
+    let rs = ScanRequest::new(rows, ExecOptions::default()).run(table, query)?;
+    let realized = realized_fraction(rs.stats.rows_scanned, table.num_rows());
+    Ok((rs, realized))
 }
 
-/// [`execute_approximate`] under cancellation / memory-governor hooks.
-pub fn execute_approximate_with_opts(
-    table: &Table,
-    query: &Query,
-    fraction: f64,
-    seed: u64,
-    opts: ExecOptions<'_>,
-) -> Result<(ResultSet, f64), ExecError> {
-    let rows = systematic_rows(table.num_rows(), fraction, seed);
-    let realized = if table.num_rows() == 0 {
+/// The fraction of `n_rows` a sample of `sampled` rows realized — what
+/// its COUNT and SUM scale by. 1 for an empty table, and never 0 (it
+/// divides).
+pub(crate) fn realized_fraction(sampled: usize, n_rows: usize) -> f64 {
+    if n_rows == 0 {
         1.0
     } else {
-        (rows.len() as f64 / table.num_rows() as f64).max(f64::MIN_POSITIVE)
-    };
-    let raw = execute_with_opts(table, query, Some(&rows), opts)?;
-    muve_obs::metrics().counter("dbms.sample_execs").incr();
-    Ok((scale_result(raw, query, realized), realized))
+        (sampled as f64 / n_rows as f64).max(f64::MIN_POSITIVE)
+    }
 }
 
 /// Scale a sample result up to full-data estimates.
@@ -237,7 +233,9 @@ mod tests {
     }
 
     fn muve_dbms_exec_helper(t: &Table, q: &Query, rows: &[u32]) -> crate::exec::ResultSet {
-        crate::exec::execute_with_selection(t, q, Some(rows)).unwrap()
+        ScanRequest::new(ScanRows::Ids(rows), ExecOptions::default())
+            .run(t, q)
+            .unwrap()
     }
 
     #[test]

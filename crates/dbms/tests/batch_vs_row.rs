@@ -16,8 +16,9 @@
 //! both paths with the same error variant.
 
 use muve_dbms::{
-    execute_batch, execute_reference, AggFunc, Aggregate, BatchConfig, CmpOp, ColumnType,
-    ExecError, ExecOptions, PredOp, Predicate, Query, Schema, Table, Value,
+    combine_partials, execute_batch, execute_reference, scale_result, systematic_rows, AggFunc,
+    Aggregate, BatchConfig, CmpOp, ColumnType, ExecError, ExecOptions, PredOp, Predicate, Query,
+    ScanRequest, ScanRows, Schema, Table, Value,
 };
 use muve_obs::{CancelToken, MemBudget};
 use proptest::prelude::*;
@@ -184,22 +185,52 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The batch engine is bit-identical to the reference executor for
-    /// every configuration, on full scans and restricted selections alike.
+    /// every configuration, on full scans and restricted selections alike
+    /// — directly, and through the door (`ScanRequest`) both as one `run`
+    /// and as `partials` folded by `combine_partials`. A door sample
+    /// equals the reference over the same systematic rows, scaled.
     #[test]
     fn batch_matches_reference(
         rt in random_table(),
         q in queries(),
         picks in prop::collection::vec(any::<bool>(), 0..20),
+        percent in 1u32..=100,
+        seed in any::<u64>(),
     ) {
         let table = rt.build();
         let selection = selection_for(table.num_rows(), &picks);
         let sel = selection.as_deref();
         let expected = execute_reference(&table, &q, sel, ExecOptions::default()).unwrap();
+        let fraction = f64::from(percent) / 100.0;
+        let sampled = systematic_rows(table.num_rows(), fraction, seed);
+        let realized = (sampled.len() as f64 / table.num_rows() as f64).max(f64::MIN_POSITIVE);
+        let unscaled = execute_reference(&table, &q, Some(&sampled), ExecOptions::default());
+        let expected_sample = scale_result(unscaled.unwrap(), &q, realized);
         for cfg in configs() {
             let got = execute_batch(&table, &q, sel, ExecOptions::default(), &cfg).unwrap();
             prop_assert_eq!(&got.columns, &expected.columns, "cfg {:?}", cfg);
             prop_assert_eq!(&got.rows, &expected.rows, "cfg {:?}", cfg);
             prop_assert_eq!(got.stats, expected.stats, "cfg {:?}", cfg);
+
+            let door = ScanRequest {
+                rows: sel.map_or(ScanRows::All, ScanRows::Ids),
+                opts: ExecOptions::default(),
+                cfg,
+            };
+            let run = door.run(&table, &q).unwrap();
+            let parts = door.partials(&table, &q).unwrap();
+            let combined = combine_partials(&table, &q, vec![parts], ExecOptions::default());
+            prop_assert_eq!(&run, &combined.unwrap(), "cfg {:?}", cfg);
+            prop_assert_eq!(&run.columns, &expected.columns, "cfg {:?}", cfg);
+            prop_assert_eq!(&run.rows, &expected.rows, "cfg {:?}", cfg);
+            // `All` may be answered from an index, which scans fewer rows.
+            prop_assert_eq!(run.stats.rows_matched, expected.stats.rows_matched, "cfg {:?}", cfg);
+            if sel.is_some() {
+                prop_assert_eq!(run.stats, expected.stats, "cfg {:?}", cfg);
+            }
+
+            let sample = ScanRequest { rows: ScanRows::Sample { fraction, seed }, ..door };
+            prop_assert_eq!(&sample.run(&table, &q).unwrap(), &expected_sample, "cfg {:?}", cfg);
         }
     }
 

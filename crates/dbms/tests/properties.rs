@@ -3,8 +3,8 @@
 //! invariants, over randomly generated tables and queries.
 
 use muve_dbms::{
-    execute, execute_merged, plan_merged, AggFunc, Aggregate, ColumnType, Predicate, Query, Schema,
-    Table, Value,
+    execute, execute_merged_with_opts, plan_merged, AggFunc, Aggregate, ColumnType, ExecOptions,
+    Predicate, Query, Schema, Table, Value,
 };
 use proptest::prelude::*;
 
@@ -108,7 +108,7 @@ proptest! {
         let queries: Vec<Query> = keys.iter().map(|&k| agg_query(func, k)).collect();
         let mut merged = vec![None; queries.len()];
         for g in plan_merged(&queries) {
-            for (idx, v) in execute_merged(&table, &g).unwrap().results {
+            for (idx, v) in execute_merged_with_opts(&table, &g, ExecOptions::default()).unwrap().results {
                 merged[idx] = v;
             }
         }
@@ -384,8 +384,8 @@ mod sql_roundtrip {
 mod selection_props {
     use super::*;
     use muve_dbms::{
-        combine_partials, execute_batch, execute_partials, execute_reference, execute_with_opts,
-        BatchConfig, ExecError, ExecOptions,
+        combine_partials, execute_batch, execute_reference, BatchConfig, ExecError, ExecOptions,
+        ScanRequest, ScanRows,
     };
 
     /// Adversarial row-id selections: mostly valid ids with occasional
@@ -430,18 +430,19 @@ mod selection_props {
             let batch = execute_batch(
                 &table, &q, Some(&sel), ExecOptions::default(), &BatchConfig::default(),
             );
-            let routed = execute_with_opts(&table, &q, Some(&sel), ExecOptions::default());
-            let partials = execute_partials(
-                &table, &q, Some(&sel), ExecOptions::default(), &BatchConfig::default(),
-            ).and_then(|p| combine_partials(&table, &q, vec![p], ExecOptions::default()));
+            let door = ScanRequest::new(ScanRows::Ids(&sel), ExecOptions::default());
+            let run = door.run(&table, &q);
+            let partials = door
+                .partials(&table, &q)
+                .and_then(|p| combine_partials(&table, &q, vec![p], ExecOptions::default()));
 
             match first_bad(&sel, rows) {
                 Some(bad) => {
                     for (label, got) in [
                         ("reference", &reference),
                         ("batch", &batch),
-                        ("routed", &routed),
-                        ("partials", &partials),
+                        ("door run", &run),
+                        ("door partials", &partials),
                     ] {
                         match got {
                             Err(ExecError::SelectionOutOfBounds { id, rows: r }) => {
@@ -457,8 +458,8 @@ mod selection_props {
                     let batch = batch.unwrap();
                     prop_assert_eq!(&want.columns, &batch.columns);
                     prop_assert_eq!(&want.rows, &batch.rows);
-                    let routed = routed.unwrap();
-                    prop_assert_eq!(&want.rows, &routed.rows);
+                    let run = run.unwrap();
+                    prop_assert_eq!(&want.rows, &run.rows);
                     let combined = partials.unwrap();
                     prop_assert_eq!(&want.rows, &combined.rows);
                 }

@@ -10,8 +10,8 @@ use crate::error::{PipelineError, Stage};
 use muve_cache::Join;
 use muve_core::Candidate;
 use muve_dbms::{
-    execute_approximate_with_opts, execute_with_opts, extract_merged, fidelity_key, plan_merged,
-    query_fingerprint, ExecError, ExecOptions, MergeGroup, Query, ResultKey, ResultSet,
+    extract_merged, fidelity_key, plan_merged, query_fingerprint, ExecError, ExecOptions,
+    MergeGroup, Query, ResultKey, ResultSet, ScanRequest, ScanRows,
 };
 use muve_obs::CancelCause;
 use muve_shard::ShardExecOptions;
@@ -245,13 +245,12 @@ impl Session<'_> {
     ) -> Result<(ResultSet, usize), ExecError> {
         let seed = self.config.seed;
         let Some(set) = &self.shards else {
-            let table = self.table.get();
-            return match fraction {
-                None => execute_with_opts(table, query, None, opts),
-                Some(f) => execute_approximate_with_opts(table, query, f, seed, opts)
-                    .map(|(rs, _realized)| rs),
-            }
-            .map(|rs| (rs, 0));
+            let rows = match fraction {
+                None => ScanRows::All,
+                Some(fraction) => ScanRows::Sample { fraction, seed },
+            };
+            let rs = ScanRequest::new(rows, opts).run(self.table.get(), query)?;
+            return Ok((rs, 0));
         };
         let shard_opts = ShardExecOptions {
             cancel: opts.cancel,

@@ -2,7 +2,7 @@
 //! failover, and typed partial-result degradation.
 //!
 //! A query scatters into one sub-query per shard. Each sub-query runs the
-//! *scan half* of the batch engine ([`muve_dbms::execute_partials`]) on a
+//! *scan half* of the batch engine ([`muve_dbms::ScanRequest::partials`]) on a
 //! replica worker and replies with un-materialized partial aggregates; the
 //! gather combines partials **in shard-index order** through
 //! [`muve_dbms::combine_partials`], which is the same morsel-order merge
@@ -31,8 +31,8 @@ use crate::set::{ReplicaCore, ShardSet, Topology};
 use crate::stats::ShardStats;
 use muve_dbms::Table;
 use muve_dbms::{
-    combine_partials, execute_partials, scale_result, systematic_rows, validate_query, BatchConfig,
-    ExecError, ExecOptions, Query, QueryPartials, ResultSet,
+    combine_partials, scale_result, systematic_rows, validate_query, BatchConfig, ExecError,
+    ExecOptions, Query, QueryPartials, ResultSet, ScanRequest, ScanRows,
 };
 use muve_obs::{Breaker, CancelToken, MemBudget};
 use std::cell::Cell;
@@ -305,27 +305,27 @@ fn run_job(
         }
         Some(FaultKind::Latency(_)) | None => {}
     }
-    let sel = job.selection.as_ref().map(|v| v.as_slice());
-    let opts = ExecOptions {
-        cancel: Some(&job.cancel),
-        ..ExecOptions::default()
+    // A full shard scan is a `ScanRows::All` request, so it consults the
+    // access-path planner, building per-shard local indexes from the
+    // projected table on first use. Shards keep the parent's
+    // dictionaries, so every replica of every shard makes the *same*
+    // index-vs-scan decision as the single-table path — sharded answers
+    // stay bit-identical.
+    let request = ScanRequest {
+        rows: job
+            .selection
+            .as_deref()
+            .map_or(ScanRows::All, |ids| ScanRows::Ids(ids)),
+        opts: ExecOptions {
+            cancel: Some(&job.cancel),
+            ..ExecOptions::default()
+        },
+        cfg: *cfg,
     };
     // Contain unexpected panics too (worker threads must outlive any one
     // sub-query), but without muzzling the printer: an un-injected panic
     // is a bug and should be loud.
-    match panic::catch_unwind(AssertUnwindSafe(|| {
-        // Full shard scans consult the access-path planner, building
-        // per-shard local indexes from the projected table on first use.
-        // Shards keep the parent's dictionaries, so every replica of
-        // every shard makes the *same* index-vs-scan decision as the
-        // single-table path — sharded answers stay bit-identical.
-        if sel.is_none() {
-            if let Some(ids) = muve_dbms::index_candidates(table, &job.query, &opts)? {
-                return execute_partials(table, &job.query, Some(&ids), opts, cfg);
-            }
-        }
-        execute_partials(table, &job.query, sel, opts, cfg)
-    })) {
+    match panic::catch_unwind(AssertUnwindSafe(|| request.partials(table, &job.query))) {
         Ok(r) => r,
         Err(_) => Err(ExecError::Unavailable(format!(
             "replica {shard}.{replica} worker panicked"
@@ -401,8 +401,8 @@ struct GatherShard {
 impl ShardSet {
     /// Execute `query` across the shards, exactly when every shard
     /// answers, degrading to a typed scaled estimate when some don't (and
-    /// `allow_partial` permits). A full gather is bit-identical to
-    /// [`muve_dbms::execute_with_opts`] against the parent table.
+    /// `allow_partial` permits). A full gather is bit-identical to a
+    /// [`muve_dbms::ScanRows::All`] request against the parent table.
     ///
     /// The gather snapshots the topology once at entry (the epoch fence):
     /// a concurrent [`resize`](ShardSet::resize) or healer core-swap
@@ -422,10 +422,11 @@ impl ShardSet {
         self.finish(query, partials, report, &opts, scale)
     }
 
-    /// Execute `query` over a systematic sample of the parent, mirroring
-    /// [`muve_dbms::execute_approximate_with_opts`]: same row selection,
-    /// same realized-fraction scaling, same `(result, realized)` shape —
-    /// with the sample's rows routed to their owning shards. Lost shards
+    /// Execute `query` over a systematic sample of the parent, mirroring a
+    /// [`muve_dbms::ScanRows::Sample`] request: same row selection, same
+    /// realized-fraction scaling, the `(result, realized)` shape of
+    /// [`muve_dbms::execute_approximate`] — with the sample's rows routed
+    /// to their owning shards. Lost shards
     /// shrink the realized fraction instead of failing the query, which is
     /// exactly the right estimator: `(a/b) · (b/n) = a/n`.
     pub fn execute_sampled(
@@ -874,9 +875,7 @@ fn gather_error(report: &GatherReport) -> ExecError {
 mod tests {
     use super::*;
     use crate::set::ShardSpec;
-    use muve_dbms::{
-        execute_with_opts, AggFunc, Aggregate, CmpOp, ColumnType, Predicate, Schema, Value,
-    };
+    use muve_dbms::{execute, AggFunc, Aggregate, CmpOp, ColumnType, Predicate, Schema, Value};
 
     fn table(n: usize) -> Arc<Table> {
         let schema = Schema::new([
@@ -922,7 +921,7 @@ mod tests {
         for (shards, replicas) in [(1, 1), (3, 1), (4, 2)] {
             let set = ShardSet::build(Arc::clone(&t), ShardSpec::new(shards, replicas));
             for q in queries() {
-                let direct = execute_with_opts(&t, &q, None, ExecOptions::default()).unwrap();
+                let direct = execute(&t, &q).unwrap();
                 let sharded = set.execute(&q, ShardExecOptions::default()).unwrap();
                 assert!(!sharded.report.is_partial());
                 assert_eq!(sharded.result, direct, "{shards}x{replicas} {q:?}");
@@ -938,7 +937,7 @@ mod tests {
             set.kill_replica(s, 0);
         }
         for q in queries() {
-            let direct = execute_with_opts(&t, &q, None, ExecOptions::default()).unwrap();
+            let direct = execute(&t, &q).unwrap();
             let sharded = set.execute(&q, ShardExecOptions::default()).unwrap();
             assert!(!sharded.report.is_partial(), "survivors serve every shard");
             assert_eq!(sharded.result, direct);
@@ -969,7 +968,7 @@ mod tests {
             Value::Float(f) => f,
             ref v => panic!("scaled count should be a float, got {v:?}"),
         };
-        let direct = execute_with_opts(&t, q, None, ExecOptions::default()).unwrap();
+        let direct = execute(&t, q).unwrap();
         let truth = match direct.rows[0][0] {
             Value::Int(c) => c as f64,
             ref v => panic!("{v:?}"),
@@ -1025,14 +1024,7 @@ mod tests {
         let set = ShardSet::build(Arc::clone(&t), ShardSpec::new(4, 1));
         let q = &queries()[0];
         for fraction in [0.1, 0.5, 1.0] {
-            let (direct, realized_d) = muve_dbms::execute_approximate_with_opts(
-                &t,
-                q,
-                fraction,
-                7,
-                ExecOptions::default(),
-            )
-            .unwrap();
+            let (direct, realized_d) = muve_dbms::execute_approximate(&t, q, fraction, 7).unwrap();
             let (sharded, realized_s) = set
                 .execute_sampled(q, fraction, 7, ShardExecOptions::default())
                 .unwrap();

@@ -49,9 +49,9 @@ pub enum FaultKind {
     /// The replica refuses work entirely.
     Down,
     /// The replica marks itself dead on first contact and refuses work
-    /// until the healer replaces it ([`mark_healed`]
-    /// (ShardFaultInjector::mark_healed) disarms the clause for those
-    /// coordinates).
+    /// until the healer replaces it
+    /// ([`mark_healed`](ShardFaultInjector::mark_healed) disarms the
+    /// clause for those coordinates).
     DownUntilHealed,
     /// Sleep this long, then execute normally.
     Latency(Duration),

@@ -4,7 +4,7 @@
 //! `muve-shard` hash-partitions a [`muve_dbms::Table`] into `N` shard
 //! tables, runs `R` replica workers per shard, and executes aggregate
 //! queries by scatter-gather: each shard computes un-materialized partial
-//! aggregates ([`muve_dbms::execute_partials`]) and the gather combines
+//! aggregates ([`muve_dbms::ScanRequest::partials`]) and the gather combines
 //! them in shard-index order ([`muve_dbms::combine_partials`]) — the same
 //! morsel-order merge the single-table batch engine uses, so a full
 //! gather is **bit-identical** to unsharded execution, float sums

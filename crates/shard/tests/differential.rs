@@ -7,8 +7,8 @@
 //! survivors (no `Missing`, no error).
 
 use muve_dbms::{
-    execute_approximate_with_opts, execute_with_opts, AggFunc, Aggregate, CmpOp, ColumnType,
-    ExecOptions, PredOp, Predicate, Query, Schema, Table, Value,
+    execute, execute_approximate, AggFunc, Aggregate, CmpOp, ColumnType, PredOp, Predicate, Query,
+    Schema, Table, Value,
 };
 use muve_shard::{ShardExecOptions, ShardFaultInjector, ShardSet, ShardSpec};
 use rand::rngs::StdRng;
@@ -101,7 +101,7 @@ fn sharded_is_bit_identical_to_single_table() {
         let queries: Vec<Query> = (0..8).map(|_| random_query(&mut rng)).collect();
         let direct: Vec<_> = queries
             .iter()
-            .map(|q| execute_with_opts(&table, q, None, ExecOptions::default()).unwrap())
+            .map(|q| execute(&table, q).unwrap())
             .collect();
         for shards in [1, 2, 3, 4] {
             for replicas in [1, 2] {
@@ -130,7 +130,7 @@ fn one_dead_replica_per_shard_changes_nothing() {
         ShardFaultInjector::parse("*.0:down").unwrap(),
     );
     for q in &queries {
-        let want = execute_with_opts(&table, q, None, ExecOptions::default()).unwrap();
+        let want = execute(&table, q).unwrap();
         let got = set.execute(q, ShardExecOptions::default()).unwrap();
         assert!(
             !got.report.is_partial(),
@@ -155,14 +155,7 @@ fn sampled_sharded_matches_unsharded_sampling_bitwise() {
         for (i, q) in queries.iter().enumerate() {
             for fraction in [0.05, 0.25, 1.0] {
                 let seed = 31 * i as u64 + 7;
-                let (want, realized_d) = execute_approximate_with_opts(
-                    &table,
-                    q,
-                    fraction,
-                    seed,
-                    ExecOptions::default(),
-                )
-                .unwrap();
+                let (want, realized_d) = execute_approximate(&table, q, fraction, seed).unwrap();
                 let (got, realized_s) = set
                     .execute_sampled(q, fraction, seed, ShardExecOptions::default())
                     .unwrap();

@@ -10,7 +10,9 @@
 //! renders the result as text.
 
 use muve::core::{greedy_plan, headline, render_text, Candidate, ScreenConfig, UserCostModel};
-use muve::dbms::{execute_merged, plan_merged, ColumnType, Query, Schema, Table, Value};
+use muve::dbms::{
+    execute_merged_with_opts, plan_merged, ColumnType, ExecOptions, Query, Schema, Table, Value,
+};
 use muve::nlq::{translate, CandidateGenerator};
 
 fn main() {
@@ -72,7 +74,8 @@ fn main() {
     let queries: Vec<Query> = shown.iter().map(|&i| candidates[i].query.clone()).collect();
     let mut results: Vec<Option<f64>> = vec![None; candidates.len()];
     for group in plan_merged(&queries) {
-        let r = execute_merged(&table, &group).expect("execution");
+        let r =
+            execute_merged_with_opts(&table, &group, ExecOptions::default()).expect("execution");
         for (local, v) in r.results {
             results[shown[local]] = v;
         }

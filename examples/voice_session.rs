@@ -12,7 +12,7 @@
 
 use muve::core::{greedy_plan, render_svg, render_text, Candidate, ScreenConfig, UserCostModel};
 use muve::data::Dataset;
-use muve::dbms::{execute_merged, plan_merged, ColumnType, Query};
+use muve::dbms::{execute_merged_with_opts, plan_merged, ColumnType, ExecOptions, Query};
 use muve::nlq::{translate, CandidateGenerator, SpeechChannel};
 
 fn main() {
@@ -92,7 +92,8 @@ fn main() {
     let queries: Vec<Query> = shown.iter().map(|&i| candidates[i].query.clone()).collect();
     let mut results: Vec<Option<f64>> = vec![None; candidates.len()];
     for group in plan_merged(&queries) {
-        let r = execute_merged(&table, &group).expect("execution");
+        let r =
+            execute_merged_with_opts(&table, &group, ExecOptions::default()).expect("execution");
         for (local, v) in r.results {
             results[shown[local]] = v;
         }

@@ -12,8 +12,8 @@
 
 use muve::data::Dataset;
 use muve::dbms::{
-    execute_merged_with_opts, execute_with_opts, index_registry, parse, plan_merged,
-    probe_candidates, ExecError, ExecOptions, ScanProgress,
+    execute_merged_with_opts, index_registry, parse, plan_merged, probe_candidates, ExecError,
+    ExecOptions, Query, ResultSet, ScanProgress, ScanRequest, ScanRows, Table,
 };
 use muve::obs::CancelToken;
 use muve::pipeline::{Session, SessionConfig};
@@ -32,8 +32,13 @@ const CANCEL_AFTER: Duration = Duration::from_millis(5);
 /// `CANCEL_AFTER + OVERSHOOT`, so a late abort would actually be caught.
 const ROWS: usize = 400_000;
 
-fn big_table() -> muve::dbms::Table {
+fn big_table() -> Table {
     Dataset::Flights.generate(ROWS, 7)
+}
+
+/// A direct scan: a `ScanRows::All` request under `opts`.
+fn scan(table: &Table, query: &Query, opts: ExecOptions<'_>) -> Result<ResultSet, ExecError> {
+    ScanRequest::new(ScanRows::All, opts).run(table, query)
 }
 
 /// Cancel a token from another thread after `CANCEL_AFTER`, run `work`,
@@ -63,8 +68,7 @@ fn direct_scan_aborts_within_overshoot_of_cancellation() {
         cancel: Some(&token),
         ..ExecOptions::default()
     };
-    let (result, elapsed) =
-        run_with_midflight_cancel(&token, || execute_with_opts(&table, &query, None, opts));
+    let (result, elapsed) = run_with_midflight_cancel(&token, || scan(&table, &query, opts));
 
     // Either the scan outran the canceller (fast machine, release build) or
     // it was aborted with the typed error — never a late success.
@@ -136,8 +140,7 @@ fn cancelled_scan_reports_partial_work() {
         ..ExecOptions::default()
     };
     let partials_before = muve::obs::metrics().counter("dbms.partial_scans").get();
-    let (result, _) =
-        run_with_midflight_cancel(&token, || execute_with_opts(&table, &query, None, opts));
+    let (result, _) = run_with_midflight_cancel(&token, || scan(&table, &query, opts));
 
     match result {
         // Outran the canceller (release build): the full scan is visible.
@@ -173,7 +176,7 @@ fn already_expired_budget_aborts_in_one_stride() {
         ..ExecOptions::default()
     };
     let start = Instant::now();
-    let err = execute_with_opts(&table, &query, None, opts).unwrap_err();
+    let err = scan(&table, &query, opts).unwrap_err();
     let elapsed = start.elapsed();
     assert!(matches!(err, ExecError::Cancelled), "{err}");
     assert!(
@@ -222,7 +225,7 @@ fn mid_build_cancellation_leaves_no_partial_index() {
     let ids = probe_candidates(&table, &query, &ExecOptions::default())
         .expect("rebuild failed")
         .expect("origin predicate is indexable");
-    let want = execute_with_opts(&table, &query, None, ExecOptions::default()).unwrap();
+    let want = scan(&table, &query, ExecOptions::default()).unwrap();
     assert_eq!(Some(ids.len() as f64), want.scalar(), "rebuilt index wrong");
     index_registry().drop_tables(&[table.fingerprint()]);
 }

@@ -7,7 +7,7 @@ use muve::core::{
     Planner, Presentation, ScreenConfig, UserCostModel,
 };
 use muve::data::{Dataset, QueryGenerator};
-use muve::dbms::{execute, execute_merged, plan_merged, Query};
+use muve::dbms::{execute, execute_merged_with_opts, plan_merged, ExecOptions, Query};
 use muve::nlq::{translate, CandidateGenerator, SpeechChannel};
 use muve::sim::{SimUser, SimUserConfig};
 
@@ -58,7 +58,7 @@ fn utterance_to_rendered_multiplot() {
     let queries: Vec<Query> = shown.iter().map(|&i| candidates[i].query.clone()).collect();
     let mut results = vec![None; candidates.len()];
     for g in plan_merged(&queries) {
-        for (local, v) in execute_merged(&table, &g)
+        for (local, v) in execute_merged_with_opts(&table, &g, ExecOptions::default())
             .expect("merged execution")
             .results
         {

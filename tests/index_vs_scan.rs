@@ -6,8 +6,8 @@
 //! **bit-identical** to the row-at-a-time reference executor:
 //!
 //! - the forced batch scan (`execute_batch` with no selection),
-//! - the routed path (`execute_with_opts`, planner-chosen index probe
-//!   feeding the batch engine through a `Rows::Ids` selection),
+//! - the routed path (a `ScanRows::All` request: planner-chosen index
+//!   probe feeding the batch engine through a `Rows::Ids` selection),
 //! - merged execution (`plan_merged` → index-served merge groups),
 //! - sharded scatter-gather (per-shard local indexes over shared parent
 //!   dictionaries, so every shard makes the same access-path decision).
@@ -19,9 +19,9 @@
 //! replaced tables (`index.stale_drops`).
 
 use muve::dbms::{
-    choose_access_path, execute_batch, execute_reference, execute_with_opts, index_registry,
-    plan_group_paths, plan_merged, AccessPath, AggFunc, Aggregate, BatchConfig, ColumnType,
-    CostParams, ExecError, ExecOptions, PredOp, Predicate, Query, ResultSet, Schema, Table, Value,
+    choose_access_path, execute_batch, execute_reference, index_registry, plan_group_paths,
+    plan_merged, AccessPath, AggFunc, Aggregate, BatchConfig, ColumnType, CostParams, ExecError,
+    ExecOptions, PredOp, Predicate, Query, ResultSet, ScanRequest, ScanRows, Schema, Table, Value,
 };
 use muve::obs::{metrics, CancelToken, MemBudget};
 use muve::pipeline::SessionCaches;
@@ -136,6 +136,11 @@ fn random_query(rng: &mut StdRng) -> Query {
     }
 }
 
+/// The routed path: a `ScanRows::All` request under `opts`.
+fn routed(table: &Table, q: &Query, opts: ExecOptions<'_>) -> Result<ResultSet, ExecError> {
+    ScanRequest::new(ScanRows::All, opts).run(table, q)
+}
+
 /// Results agree up to scan statistics (the index path scans fewer rows
 /// by design, so `rows_scanned` legitimately differs from a full scan).
 fn assert_same_answer(a: &ResultSet, b: &ResultSet, ctx: &str) {
@@ -173,9 +178,9 @@ proptest! {
                 &BatchConfig::default(),
             )
             .unwrap();
-            let routed = execute_with_opts(&table, &q, None, ExecOptions::default()).unwrap();
+            let door = routed(&table, &q, ExecOptions::default()).unwrap();
             assert_same_answer(&reference, &scan, &format!("scan {q:?}"));
-            assert_same_answer(&reference, &routed, &format!("routed {q:?}"));
+            assert_same_answer(&reference, &door, &format!("routed {q:?}"));
         }
         prop_assert!(indexed > 0, "sweep never exercised the index path");
         prop_assert!(
@@ -231,7 +236,7 @@ fn sharded_with_index_is_bit_identical_to_routed_single_table() {
     let queries: Vec<Query> = (0..8).map(|_| random_query(&mut rng)).collect();
     let direct: Vec<ResultSet> = queries
         .iter()
-        .map(|q| execute_with_opts(&table, q, None, ExecOptions::default()).unwrap())
+        .map(|q| routed(&table, q, ExecOptions::default()).unwrap())
         .collect();
     for shards in [2, 3] {
         for replicas in [1, 2] {
@@ -279,14 +284,14 @@ fn robustness_hooks_are_path_independent() {
         cancel: Some(&fired),
         ..ExecOptions::default()
     };
-    let routed = execute_with_opts(&table, &q, None, opts).unwrap_err();
+    let door = routed(&table, &q, opts).unwrap_err();
     let opts = ExecOptions {
         cancel: Some(&fired),
         ..ExecOptions::default()
     };
     let reference = execute_reference(&table, &q, None, opts).unwrap_err();
-    assert!(matches!(routed, ExecError::Cancelled), "{routed:?}");
-    assert_eq!(routed.to_string(), reference.to_string());
+    assert!(matches!(door, ExecError::Cancelled), "{door:?}");
+    assert_eq!(door.to_string(), reference.to_string());
 
     // 1-byte memory cap: any index build/probe charge fails, the planner
     // falls back to the scan, and the scan's own governor abort surfaces
@@ -296,7 +301,7 @@ fn robustness_hooks_are_path_independent() {
         mem: Some(&tiny),
         ..ExecOptions::default()
     };
-    let routed = execute_with_opts(&table, &q, None, opts).unwrap_err();
+    let door = routed(&table, &q, opts).unwrap_err();
     let tiny = MemBudget::new(1, None);
     let opts = ExecOptions {
         mem: Some(&tiny),
@@ -304,10 +309,10 @@ fn robustness_hooks_are_path_independent() {
     };
     let reference = execute_reference(&table, &q, None, opts).unwrap_err();
     assert!(
-        matches!(routed, ExecError::ResourceExhausted { .. }),
-        "{routed:?}"
+        matches!(door, ExecError::ResourceExhausted { .. }),
+        "{door:?}"
     );
-    assert_eq!(routed.to_string(), reference.to_string());
+    assert_eq!(door.to_string(), reference.to_string());
     assert!(
         !index_registry().has_table(table.fingerprint()),
         "a 1-byte cap must not leave a partially charged index behind"
@@ -332,7 +337,7 @@ fn cache_epoch_stamping_drops_indexes_for_replaced_tables() {
     let caches = SessionCaches::new(1 << 20);
     caches.set_table(&old);
     // Routed execution lazily builds the index for `old`.
-    execute_with_opts(&old, &q, None, ExecOptions::default()).unwrap();
+    routed(&old, &q, ExecOptions::default()).unwrap();
     assert!(index_registry().has_table(old.fingerprint()));
 
     // Reload: the epoch stamp must eagerly drop the stale index.
@@ -342,9 +347,9 @@ fn cache_epoch_stamping_drops_indexes_for_replaced_tables() {
     assert!(metrics().counter("index.stale_drops").get() > drops_before);
 
     // Post-reload answers come from the new table's own (fresh) index.
-    let routed = execute_with_opts(&new, &q, None, ExecOptions::default()).unwrap();
+    let door = routed(&new, &q, ExecOptions::default()).unwrap();
     let want = execute_reference(&new, &q, None, ExecOptions::default()).unwrap();
-    assert_same_answer(&want, &routed, "post-reload");
+    assert_same_answer(&want, &door, "post-reload");
 
     // Sharded stamping covers per-shard tables too.
     let parent = Arc::new(random_table(&mut rng, 2_000));

@@ -8,9 +8,7 @@
 //! counter ledger exactly (every dispatched sub-query is accounted for).
 
 use muve::data::Dataset;
-use muve::dbms::{
-    execute_with_opts, AggFunc, Aggregate, CmpOp, ExecOptions, Predicate, Query, Table,
-};
+use muve::dbms::{execute, AggFunc, Aggregate, CmpOp, Predicate, Query, Table};
 use muve::pipeline::{Session, SessionConfig, Visualization};
 use muve::shard::{ShardExecOptions, ShardFaultInjector, ShardSet, ShardSpec};
 use std::sync::Arc;
@@ -96,7 +94,7 @@ fn replica_panic_storm_loses_no_queries() {
     let queries = burst_queries();
     for round in 0..7 {
         for q in &queries {
-            let want = execute_with_opts(&table, q, None, ExecOptions::default()).unwrap();
+            let want = execute(&table, q).unwrap();
             let got = set
                 .execute(q, ShardExecOptions::default())
                 .unwrap_or_else(|e| panic!("round {round}: lost query {q:?}: {e}"));
@@ -136,7 +134,7 @@ fn replica_killed_mid_burst_then_revived_recovers() {
     let queries = burst_queries();
     let truth: Vec<_> = queries
         .iter()
-        .map(|q| execute_with_opts(&table, q, None, ExecOptions::default()).unwrap())
+        .map(|q| execute(&table, q).unwrap())
         .collect();
     let run_burst = |tag: &str| {
         for (q, want) in queries.iter().zip(&truth) {

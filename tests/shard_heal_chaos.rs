@@ -15,9 +15,7 @@
 //! - the same seed replays to an **identical** applied-event log.
 
 use muve::data::Dataset;
-use muve::dbms::{
-    execute_with_opts, AggFunc, Aggregate, CmpOp, ExecOptions, Predicate, Query, Table,
-};
+use muve::dbms::{execute, AggFunc, Aggregate, CmpOp, Predicate, Query, Table};
 use muve::net::{NetConfig, NetServer};
 use muve::pipeline::SessionConfig;
 use muve::serve::ServerConfig;
@@ -124,7 +122,7 @@ fn run_seeded_chaos(seed: u64) -> Vec<String> {
     let queries = burst_queries();
     let truth: Vec<_> = queries
         .iter()
-        .map(|q| execute_with_opts(&table, q, None, ExecOptions::default()).unwrap())
+        .map(|q| execute(&table, q).unwrap())
         .collect();
 
     let script = ChaosScript::seeded(seed, STEPS, SHARDS, REPLICAS, KILL_PERIOD);
