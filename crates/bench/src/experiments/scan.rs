@@ -1,20 +1,16 @@
 //! **BENCH_scan**: row-at-a-time reference executor vs the morsel-driven
 //! batch engine on single-table aggregation scans.
 //!
-//! Three variants run the same queries over an enlarged Flights table:
-//! `row` is [`muve_dbms::execute_reference`] (per-row closure dispatch),
-//! `batch@1` is the batch engine pinned to one thread (isolates the
-//! vectorized kernels: dictionary-coded predicate compares into selection
-//! bitmaps, chunked accumulation), and `batch` is the batch engine at its
-//! default parallelism (adds morsel-parallel workers on multi-core hosts).
+//! Two variants run the same queries over an enlarged Flights table, both
+//! on one thread: `row` is [`muve_dbms::execute_reference`] (per-row
+//! closure dispatch) and `batch` is the batch engine (dictionary-coded
+//! predicate compares into selection bitmaps, chunked accumulation).
 //! Expected shape: `batch` at least 10× the `row` throughput on the
-//! filtered scans, from kernel vectorization alone on a single core.
+//! filtered scans, from kernel vectorization alone.
 
 use super::common::{dataset_table, fmt, ResultTable};
 use muve_data::Dataset;
-use muve_dbms::{
-    execute_batch, execute_reference, parse, BatchConfig, ExecOptions, Query, Table, MORSEL_ROWS,
-};
+use muve_dbms::{execute_batch, execute_reference, parse, BatchConfig, ExecOptions, Query, Table};
 use std::time::Instant;
 
 /// The benchmarked scan shapes, covering the batch engine's kernels:
@@ -63,25 +59,20 @@ pub fn run(quick: bool) -> Vec<ResultTable> {
     let reps = if quick { 2 } else { 5 };
     let table = dataset_table(Dataset::Flights, rows, 0x5CA9);
 
-    let serial = BatchConfig {
-        morsel_rows: MORSEL_ROWS,
-        threads: 1,
-    };
-    let parallel = BatchConfig::default();
-
     let mut out = ResultTable::new(
         "BENCH_scan",
-        "Single-table scan throughput: row-at-a-time reference vs the \
-         morsel-driven batch engine, one thread and default parallelism \
-         (Flights data; shape: batch at least 10x row throughput)",
+        "Single-table scan throughput on one thread: row-at-a-time \
+         reference vs the morsel-driven batch engine (Flights data; \
+         shape: batch at least 10x row throughput)",
         &["query", "variant", "Mrows/s", "speedup vs row"],
     );
 
     let run_row = |t: &Table, q: &Query| {
         execute_reference(t, q, None, ExecOptions::default()).expect("bench query failed");
     };
-    let run_batch = |t: &Table, q: &Query, cfg: &BatchConfig| {
-        execute_batch(t, q, None, ExecOptions::default(), cfg).expect("bench query failed");
+    let run_batch = |t: &Table, q: &Query| {
+        execute_batch(t, q, None, ExecOptions::default(), &BatchConfig::default())
+            .expect("bench query failed");
     };
 
     let mut speedups: Vec<f64> = Vec::new();
@@ -92,15 +83,10 @@ pub fn run(quick: bool) -> Vec<ResultTable> {
         run_row(&table, &q);
 
         let row = throughput(reps, rows, || run_row(&table, &q));
-        let one = throughput(reps, rows, || run_batch(&table, &q, &serial));
-        let par = throughput(reps, rows, || run_batch(&table, &q, &parallel));
-        let speedup = par / row;
+        let batch = throughput(reps, rows, || run_batch(&table, &q));
+        let speedup = batch / row;
         speedups.push(speedup);
-        for (variant, tput, rel) in [
-            ("row", row, 1.0),
-            ("batch@1", one, one / row),
-            ("batch", par, speedup),
-        ] {
+        for (variant, tput, rel) in [("row", row, 1.0), ("batch", batch, speedup)] {
             out.push(vec![
                 (*label).into(),
                 variant.into(),
@@ -147,7 +133,7 @@ mod tests {
             geomean >= 1.0,
             "batch engine slower than the reference path: geomean {geomean}"
         );
-        // Every query contributes its three variants plus the summaries.
-        assert_eq!(rows.len(), QUERIES.len() * 3 + 2);
+        // Every query contributes its two variants plus the summaries.
+        assert_eq!(rows.len(), QUERIES.len() * 2 + 2);
     }
 }

@@ -8,15 +8,10 @@
 //! constants, equality selectivity `1/n_distinct`, and per-group overheads
 //! for aggregation.
 //!
-//! [`estimate`] prices the row-at-a-time reference plan; [`estimate_batch`]
-//! prices the same query on the morsel-driven batch engine, dividing CPU
-//! work across workers and charging a fixed per-morsel overhead
-//! (scheduling, partial-accumulator setup) plus the cost of combining one
-//! partial per morsel at the end. [`estimate_index`] prices the inverted
-//! -index path of [`crate::index`] — posting-list probe + intersection
-//! plus a residual re-evaluation over the candidate rows — and
-//! [`choose_access_path`] turns the comparison into the planner's
-//! index-vs-scan decision.
+//! [`estimate`] prices a query's sequential scan, which `explain` renders
+//! and the merge planner compares; [`choose_access_path`] makes the
+//! planner's index-vs-scan decision from the exact selectivity of the
+//! indexable predicates ([`indexed_selectivity`]) and per-row work alone.
 
 use crate::ast::{PredOp, Query};
 use crate::table::Table;
@@ -33,13 +28,6 @@ pub struct CostParams {
     pub cpu_operator_cost: f64,
     /// Bytes per page.
     pub page_bytes: usize,
-    /// Rows per morsel assumed by [`estimate_batch`].
-    pub morsel_rows: usize,
-    /// Worker threads the batch engine may spread morsels over.
-    pub workers: usize,
-    /// Fixed cost of dispatching one morsel: the shared-cursor claim plus
-    /// partial-accumulator setup, in the same units as the other knobs.
-    pub morsel_cost: f64,
     /// CPU cost of materializing one candidate row from a posting list:
     /// the gather through `Rows::Ids` is random-access, so this is priced
     /// well above `cpu_tuple_cost` (cf. Postgres' random-vs-seq page
@@ -55,9 +43,6 @@ impl Default for CostParams {
             cpu_tuple_cost: 0.01,
             cpu_operator_cost: 0.0025,
             page_bytes: 8192,
-            morsel_rows: crate::morsel::MORSEL_ROWS,
-            workers: crate::morsel::available_cores(),
-            morsel_cost: 0.1,
             index_tuple_cost: 0.5,
         }
     }
@@ -134,44 +119,6 @@ pub fn estimate(table: &Table, query: &Query, params: &CostParams) -> CostEstima
     }
 }
 
-/// Estimate the cost of `query` on the morsel-driven batch engine.
-///
-/// Starts from the row-at-a-time estimate and reshapes it the way the
-/// batch engine reshapes the work: page reads stay serial (the scan is
-/// memory-bandwidth-bound), per-tuple CPU divides across the effective
-/// worker count (capped by the number of morsels — a one-morsel table
-/// cannot parallelize), and two batch-only terms are added: a fixed
-/// [`CostParams::morsel_cost`] per morsel dispatched, and the combine pass
-/// that folds one per-morsel partial accumulator per group into the final
-/// state.
-pub fn estimate_batch(table: &Table, query: &Query, params: &CostParams) -> CostEstimate {
-    let base = estimate(table, query, params);
-    let rows = table.num_rows() as f64;
-    let pages = (table.approx_bytes() as f64 / params.page_bytes as f64)
-        .ceil()
-        .max(1.0);
-    let n_morsels = (rows / params.morsel_rows.max(1) as f64).ceil().max(1.0);
-    let workers = (params.workers.max(1) as f64).min(n_morsels);
-    let io = pages * params.seq_page_cost;
-    let cpu = (base.total - io).max(0.0);
-    let dispatch = n_morsels * params.morsel_cost;
-    // Combining per-morsel partials only costs something when there is
-    // accumulator state to merge: grouped queries fold one partial hash
-    // table per morsel. An ungrouped query's partial is a handful of
-    // scalars merged inside the dispatch overhead already charged above —
-    // charging `est_groups` (=1) per morsel again double-counted it.
-    let combine = if query.group_by.is_empty() {
-        0.0
-    } else {
-        (n_morsels - 1.0) * base.est_groups * params.cpu_operator_cost
-    };
-    CostEstimate {
-        total: io + cpu / workers + dispatch + combine,
-        est_rows: base.est_rows,
-        est_groups: base.est_groups,
-    }
-}
-
 /// The planner's access-path decision for one query (or one merge-group).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPath {
@@ -185,19 +132,19 @@ pub enum AccessPath {
     },
 }
 
-/// Per-predicate classification shared by the planner and the cost model.
+/// Exact combined selectivity of the indexable predicates of `query`, or
+/// `None` when no predicate can use an inverted index.
 ///
 /// A predicate is *indexable* when it is `Eq` or `IN` over string literals
 /// on a dictionary-coded column: the inverted index of [`crate::index`]
 /// maps dictionary codes to posting lists, so its selectivity is exact —
-/// `resolved_codes / dict_len` — not an estimate. Returns the combined
-/// selectivity, the number of indexable predicates, and the number of
-/// literal→code lookups the probe will perform; `None` when no predicate
-/// is indexable.
-fn classify_indexable(table: &Table, query: &Query) -> Option<(f64, usize, usize)> {
-    let mut sel = 1.0f64;
-    let mut n_indexable = 0usize;
-    let mut n_lookups = 0usize;
+/// `resolved_codes / dict_len` — not an estimate. Unlike [`estimate`]'s
+/// `1/n_distinct` heuristic, an unmatched literal contributes selectivity
+/// 0 — the index path answers it without touching a single row. Projected
+/// shard tables share the parent's dictionaries, so parent and shards
+/// compute the same value.
+pub fn indexed_selectivity(table: &Table, query: &Query) -> Option<f64> {
+    let mut sel = None;
     for pred in &query.predicates {
         let Some(dict) = table
             .column_by_name(&pred.column)
@@ -206,42 +153,26 @@ fn classify_indexable(table: &Table, query: &Query) -> Option<(f64, usize, usize
             continue;
         };
         let denom = dict.len().max(1) as f64;
-        match &pred.op {
+        let s = match &pred.op {
             PredOp::Eq(Value::Str(s)) => {
-                let resolved = if dict.code_of(s).is_some() { 1.0 } else { 0.0 };
-                sel *= resolved / denom;
-                n_indexable += 1;
-                n_lookups += 1;
+                if dict.code_of(s).is_some() {
+                    1.0 / denom
+                } else {
+                    0.0
+                }
             }
             PredOp::In(vs) if vs.iter().all(|v| matches!(v, Value::Str(_))) => {
                 let resolved = vs
                     .iter()
                     .filter(|v| matches!(v, Value::Str(s) if dict.code_of(s).is_some()))
                     .count() as f64;
-                sel *= (resolved / denom).min(1.0);
-                n_indexable += 1;
-                n_lookups += vs.len();
+                (resolved / denom).min(1.0)
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        sel = Some(sel.unwrap_or(1.0) * s);
     }
-    if n_indexable == 0 {
-        None
-    } else {
-        Some((sel, n_indexable, n_lookups))
-    }
-}
-
-/// Exact combined selectivity of the indexable predicates of `query`, or
-/// `None` when no predicate can use an inverted index.
-///
-/// Unlike [`estimate`]'s `1/n_distinct` heuristic this resolves each
-/// string literal against the column dictionary, so an unmatched literal
-/// contributes selectivity 0 — the index path answers it without touching
-/// a single row. Projected shard tables share the parent's dictionaries,
-/// so parent and shards compute the same value.
-pub fn indexed_selectivity(table: &Table, query: &Query) -> Option<f64> {
-    classify_indexable(table, query).map(|(sel, _, _)| sel)
+    sel
 }
 
 /// Pick the access path for `query` over `table`.
@@ -250,11 +181,9 @@ pub fn indexed_selectivity(table: &Table, query: &Query) -> Option<f64> {
 /// `sel × rows` candidates at `index_tuple_cost + cpu_tuple_cost +
 /// P·cpu_operator_cost` each (random gather plus full residual
 /// re-evaluation), the scan touches every row at `cpu_tuple_cost +
-/// P·cpu_operator_cost`. Worker count is deliberately excluded — both
-/// paths parallelize through the same morsel engine, so parallelism
-/// cancels — which keeps the decision identical across machines and
-/// between a parent table and its shard projections (required for
-/// bit-identical sharded execution).
+/// P·cpu_operator_cost`. Row counts cancel, which keeps the decision
+/// identical between a parent table and its shard projections (required
+/// for bit-identical sharded execution).
 pub fn choose_access_path(table: &Table, query: &Query, params: &CostParams) -> AccessPath {
     let Some(sel) = indexed_selectivity(table, query) else {
         return AccessPath::BatchScan;
@@ -267,58 +196,6 @@ pub fn choose_access_path(table: &Table, query: &Query, params: &CostParams) -> 
     } else {
         AccessPath::BatchScan
     }
-}
-
-/// Estimate the cost of answering `query` through the inverted-index path:
-/// literal→code probes, posting-list intersection, a random gather of the
-/// candidate rows with full residual predicate re-evaluation, then the
-/// same aggregation/grouping terms as [`estimate`] and the batch engine's
-/// dispatch/combine overheads over the (much smaller) candidate set.
-///
-/// Returns `None` when no predicate is indexable ([`indexed_selectivity`]
-/// is `None`): the query has no index path to price.
-pub fn estimate_index(table: &Table, query: &Query, params: &CostParams) -> Option<CostEstimate> {
-    let (sel, n_indexable, n_lookups) = classify_indexable(table, query)?;
-    let base = estimate(table, query, params);
-    let rows = table.num_rows() as f64;
-    let pages = (table.approx_bytes() as f64 / params.page_bytes as f64)
-        .ceil()
-        .max(1.0);
-    let p = query.predicates.len() as f64;
-    let candidates = rows * sel;
-    // Probe: one dictionary lookup per literal plus posting-list merges;
-    // intersecting k lists costs one comparison per surviving candidate
-    // per extra list (the galloping intersection is bounded by the
-    // smaller list).
-    let probe = n_lookups as f64 * params.cpu_operator_cost;
-    let intersect = (n_indexable.saturating_sub(1)) as f64 * candidates * params.cpu_operator_cost;
-    // Candidate fetch + residual: every candidate row is gathered at
-    // random (index_tuple_cost) and re-checked against the *full*
-    // predicate set, which is what the Selection execution actually does.
-    let fetch = candidates * (params.index_tuple_cost + params.cpu_tuple_cost)
-        + candidates * p * params.cpu_operator_cost;
-    // Aggregation and grouping are downstream of the filter and identical
-    // to the sequential plan: recover them from `base` by subtracting its
-    // scan term.
-    let scan = pages * params.seq_page_cost
-        + rows * params.cpu_tuple_cost
-        + rows * p * params.cpu_operator_cost;
-    let downstream = (base.total - scan).max(0.0);
-    // The candidate set still flows through the morsel engine.
-    let n_morsels = (candidates / params.morsel_rows.max(1) as f64)
-        .ceil()
-        .max(1.0);
-    let dispatch = n_morsels * params.morsel_cost;
-    let combine = if query.group_by.is_empty() {
-        0.0
-    } else {
-        (n_morsels - 1.0) * base.est_groups * params.cpu_operator_cost
-    };
-    Some(CostEstimate {
-        total: probe + intersect + fetch + downstream + dispatch + combine,
-        est_rows: base.est_rows,
-        est_groups: base.est_groups,
-    })
 }
 
 #[cfg(test)]
@@ -404,102 +281,6 @@ mod tests {
         assert!(e.est_groups <= 10.0);
     }
 
-    #[test]
-    fn batch_estimate_never_beats_serial_io_but_beats_serial_cpu() {
-        // With several workers and plenty of morsels, the batch plan must
-        // be cheaper than the row-at-a-time plan (CPU parallelizes), yet
-        // never cheaper than the serial page reads it still has to do.
-        let p = CostParams {
-            morsel_rows: 1024,
-            workers: 8,
-            ..CostParams::default()
-        };
-        let t = table(100_000);
-        let q = parse("select sum(v) from t where k = 'k3' group by k").unwrap();
-        let row = estimate(&t, &q, &p);
-        let batch = estimate_batch(&t, &q, &p);
-        assert!(batch.total < row.total, "{} vs {}", batch.total, row.total);
-        let pages = (t.approx_bytes() as f64 / p.page_bytes as f64).ceil();
-        assert!(batch.total >= pages * p.seq_page_cost);
-        // Cardinalities are engine-independent.
-        assert_eq!(batch.est_rows, row.est_rows);
-        assert_eq!(batch.est_groups, row.est_groups);
-    }
-
-    #[test]
-    fn one_worker_batch_costs_serial_cpu_plus_morsel_overhead() {
-        let p = CostParams {
-            morsel_rows: 1024,
-            workers: 1,
-            ..CostParams::default()
-        };
-        let t = table(50_000);
-        let q = parse("select count(*) from t").unwrap();
-        let row = estimate(&t, &q, &p);
-        let batch = estimate_batch(&t, &q, &p);
-        let n_morsels = (50_000f64 / 1024.0).ceil();
-        assert!(batch.total > row.total, "single worker gains nothing");
-        assert!(batch.total <= row.total + n_morsels * (p.morsel_cost + p.cpu_operator_cost));
-    }
-
-    #[test]
-    fn smaller_morsels_cost_more_dispatch() {
-        // Same worker count so the comparison isolates per-morsel
-        // overhead (with more workers, finer morsels can win by engaging
-        // the whole pool — that trade-off is exactly what the model is
-        // for).
-        let t = table(100_000);
-        let q = parse("select count(*) from t").unwrap();
-        let coarse = estimate_batch(
-            &t,
-            &q,
-            &CostParams {
-                morsel_rows: 65_536,
-                workers: 1,
-                ..CostParams::default()
-            },
-        );
-        let fine = estimate_batch(
-            &t,
-            &q,
-            &CostParams {
-                morsel_rows: 256,
-                workers: 1,
-                ..CostParams::default()
-            },
-        );
-        assert!(fine.total > coarse.total);
-    }
-
-    #[test]
-    fn ungrouped_batch_pays_no_combine_term() {
-        // Satellite bugfix pin: a query with no GROUP BY has no per-morsel
-        // accumulator state to merge, so with one worker the batch plan
-        // must cost exactly the serial plan plus dispatch overhead — no
-        // `(n_morsels - 1) * est_groups * cpu_operator_cost` combine term.
-        let p = CostParams {
-            morsel_rows: 1024,
-            workers: 1,
-            ..CostParams::default()
-        };
-        let t = table(50_000);
-        let q = parse("select count(*) from t").unwrap();
-        let row = estimate(&t, &q, &p);
-        let batch = estimate_batch(&t, &q, &p);
-        let n_morsels = (50_000f64 / 1024.0).ceil();
-        let expect = row.total + n_morsels * p.morsel_cost;
-        assert!(
-            (batch.total - expect).abs() < 1e-9,
-            "{} vs {expect}",
-            batch.total
-        );
-        // A grouped query over the same table still pays the combine term.
-        let qg = parse("select count(*) from t group by k").unwrap();
-        let rowg = estimate(&t, &qg, &p);
-        let batchg = estimate_batch(&t, &qg, &p);
-        assert!(batchg.total > rowg.total + n_morsels * p.morsel_cost);
-    }
-
     /// Table whose string column has `distinct` dictionary entries.
     fn wide_table(n: usize, distinct: usize) -> Table {
         let schema = Schema::new([("k", ColumnType::Str), ("v", ColumnType::Int)]);
@@ -552,7 +333,6 @@ mod tests {
         let q = parse("select count(*) from t where v > 10").unwrap();
         assert_eq!(indexed_selectivity(&t, &q), None);
         assert_eq!(choose_access_path(&t, &q, &p), AccessPath::BatchScan);
-        assert!(estimate_index(&t, &q, &p).is_none());
     }
 
     #[test]
@@ -577,32 +357,6 @@ mod tests {
                 "{sql}"
             );
         }
-    }
-
-    #[test]
-    fn index_estimate_beats_batch_only_when_selective() {
-        // Pin the worker count: estimate_batch divides CPU across cores,
-        // so the comparison must not float with the build machine.
-        let p = CostParams {
-            workers: 4,
-            ..CostParams::default()
-        };
-        let t = wide_table(200_000, 200);
-        let selective = parse("select sum(v) from t where k = 'k3'").unwrap();
-        let idx = estimate_index(&t, &selective, &p).unwrap();
-        let scan = estimate_batch(&t, &selective, &p);
-        assert!(idx.total < scan.total, "{} vs {}", idx.total, scan.total);
-        assert_eq!(idx.est_rows, scan.est_rows);
-        // A near-full-table IN list should price the other way.
-        let members: Vec<String> = (0..150).map(|i| format!("'k{i}'")).collect();
-        let broad = parse(&format!(
-            "select sum(v) from t where k in ({})",
-            members.join(",")
-        ))
-        .unwrap();
-        let idx = estimate_index(&t, &broad, &p).unwrap();
-        let scan = estimate_batch(&t, &broad, &p);
-        assert!(idx.total > scan.total, "{} vs {}", idx.total, scan.total);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! collapses its predicate to "always false" without touching a row —
 //! validates a selection, makes the index-vs-scan choice for a full scan,
 //! draws and scales a sample, and runs the morsel-driven batch engine in
-//! [`crate::batch`]: chunked predicate kernels over selection bitmaps,
-//! per-morsel partial accumulators, and an optional shared-cursor thread
-//! pool. [`execute`], [`crate::sample::execute_approximate`] and
+//! [`crate::batch`] on the caller's thread: chunked predicate kernels
+//! over selection bitmaps and per-morsel partial accumulators folded in
+//! morsel order. [`execute`], [`crate::sample::execute_approximate`] and
 //! [`crate::merge::execute_merged_with_opts`] are thin wrappers over it.
 //!
 //! A row-at-a-time reference implementation ([`execute_reference`]) is
@@ -291,7 +291,7 @@ pub struct ScanRequest<'a> {
     /// Cancellation, memory-governor and progress hooks; the default is
     /// bit-identical to ungoverned execution.
     pub opts: ExecOptions<'a>,
-    /// Morsel size and scan threads.
+    /// Morsel size.
     pub cfg: BatchConfig,
 }
 

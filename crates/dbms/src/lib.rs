@@ -48,8 +48,8 @@ pub use batch::{
 };
 pub use column::{Column, ColumnData, Dictionary};
 pub use cost::{
-    choose_access_path, estimate, estimate_batch, estimate_index, explain, indexed_selectivity,
-    AccessPath, CostEstimate, CostParams,
+    choose_access_path, estimate, explain, indexed_selectivity, AccessPath, CostEstimate,
+    CostParams,
 };
 pub use csv::{
     table_from_csv_path, table_from_csv_path_with_limits, table_from_csv_str,

@@ -5,11 +5,9 @@
 //! table / query / selection / engine configuration the batch engine must
 //! produce a **bit-identical** `ResultSet` — same columns, same rows, same
 //! scan stats — including NULL-bearing columns, group-bys, restricted
-//! selections, tiny morsels that force many partial accumulators, and
-//! multi-threaded schedules. Float aggregates use dyadic-rational inputs
-//! (multiples of 1/4) so sums are exact and bit-comparable regardless of
-//! accumulation order; determinism is additionally enforced by comparing
-//! two multi-threaded runs against each other.
+//! selections, and tiny morsels that force many partial accumulators.
+//! Float aggregates use dyadic-rational inputs (multiples of 1/4) so sums
+//! are exact and bit-comparable regardless of accumulation order.
 //!
 //! Abort parity is covered too: a pre-cancelled token must surface the
 //! same typed error from both paths, and a tight memory cap must reject
@@ -18,7 +16,7 @@
 use muve_dbms::{
     combine_partials, execute_batch, execute_reference, scale_result, systematic_rows, AggFunc,
     Aggregate, BatchConfig, CmpOp, ColumnType, ExecError, ExecOptions, PredOp, Predicate, Query,
-    ScanRequest, ScanRows, Schema, Table, Value,
+    ScanRequest, ScanRows, Schema, Table, Value, MORSEL_ROWS,
 };
 use muve_obs::{CancelToken, MemBudget};
 use proptest::prelude::*;
@@ -159,26 +157,14 @@ fn selection_for(n: usize, picks: &[bool]) -> Option<Vec<u32>> {
     )
 }
 
-/// Engine configurations that exercise the interesting schedules: one
-/// morsel (sequential fast path), many tiny morsels on one thread (partial
-/// combination without parallelism), and many tiny morsels over a real
-/// thread pool (any claim order + combination order).
+/// Morsel sizes that exercise the interesting folds: the production
+/// size, many tiny morsels (every partial layout combined many times, at
+/// aligned and unaligned boundaries), and one morsel for the whole scan.
 fn configs() -> Vec<BatchConfig> {
-    vec![
-        BatchConfig::default(),
-        BatchConfig {
-            morsel_rows: 64,
-            threads: 1,
-        },
-        BatchConfig {
-            morsel_rows: 257,
-            threads: 3,
-        },
-        BatchConfig {
-            morsel_rows: 64,
-            threads: 4,
-        },
-    ]
+    [MORSEL_ROWS, 64, 257, usize::MAX]
+        .into_iter()
+        .map(|morsel_rows| BatchConfig { morsel_rows })
+        .collect()
 }
 
 proptest! {
@@ -232,19 +218,6 @@ proptest! {
             let sample = ScanRequest { rows: ScanRows::Sample { fraction, seed }, ..door };
             prop_assert_eq!(&sample.run(&table, &q).unwrap(), &expected_sample, "cfg {:?}", cfg);
         }
-    }
-
-    /// Two multi-threaded runs with tiny morsels agree with each other:
-    /// partials combine in morsel order, so the thread schedule never
-    /// leaks into results (float accumulation order included).
-    #[test]
-    fn parallel_runs_are_deterministic(rt in random_table(), q in queries()) {
-        let table = rt.build();
-        let cfg = BatchConfig { morsel_rows: 64, threads: 4 };
-        let a = execute_batch(&table, &q, None, ExecOptions::default(), &cfg).unwrap();
-        let b = execute_batch(&table, &q, None, ExecOptions::default(), &cfg).unwrap();
-        prop_assert_eq!(a.rows, b.rows);
-        prop_assert_eq!(a.stats, b.stats);
     }
 
     /// Abort parity: a pre-cancelled token surfaces the same typed error

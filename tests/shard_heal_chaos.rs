@@ -99,9 +99,9 @@ fn fully_healthy(set: &ShardSet) -> bool {
 
 /// Wait for full replication, offering `traffic` meanwhile. The healer
 /// replaces *dead* replicas unprompted, but a live replica can be suspect
-/// too — a hedge loser's cancelled reply counts against its breaker, and
-/// three in a row trip it — and a suspect only recovers through a probe,
-/// which needs a sub-query to ride on (the same reason
+/// too — a revived replica keeps the breaker trips it took while down,
+/// and queue sheds count against a breaker — and a suspect only recovers
+/// through a probe, which needs a sub-query to ride on (the same reason
 /// `shard_failover.rs` keeps its burst going while it waits).
 fn heals_fully(set: &ShardSet, mut traffic: impl FnMut()) -> bool {
     wait_for(Duration::from_secs(10), || {
