@@ -180,6 +180,7 @@ fn probe(inner: &ShardInner, core: &ReplicaCore, s: usize, r: usize, cfg: &HealC
         selection: None,
         cancel: CancelToken::with_deadline(deadline),
         hedge: false,
+        probe: false,
         reply_tx,
     };
     inner.stats.dispatched.incr();

@@ -41,7 +41,7 @@ const REPLICA_QUEUE_CAP: usize = 128;
 
 /// Tuning of every replica's breaker: 3 consecutive failures trip a
 /// replica to suspect, and it rests 250 ms before its single probe.
-const REPLICA_BREAKER: BreakerConfig = BreakerConfig {
+pub(crate) const REPLICA_BREAKER: BreakerConfig = BreakerConfig {
     failure_threshold: 3,
     cooldown: Duration::from_millis(250),
 };
