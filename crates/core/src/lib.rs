@@ -41,7 +41,6 @@ pub mod cost_model;
 pub mod greedy;
 pub mod headline;
 pub mod ilp;
-pub mod plan_cache;
 pub mod planner;
 pub mod plot;
 pub mod progressive;
@@ -53,7 +52,6 @@ pub use cost_model::{MultiplotCounts, UserCostModel};
 pub use greedy::greedy_plan;
 pub use headline::headline;
 pub use ilp::{ilp_plan, IlpConfig, IlpOutcome, ProcessingConfig, ProcessingGroup};
-pub use plan_cache::{distribution_fingerprint, PlanCache};
 pub use planner::{
     plan, plan_incremental, plan_incremental_observed, plan_with_deadline, IncrementalSchedule,
     IncumbentSlot, PlanResult, Planner,

@@ -811,48 +811,6 @@ mod robustness_tests {
     }
 
     #[test]
-    fn cancelled_runs_do_not_count_as_queries() {
-        let t = big(50_000);
-        let q = parse("select count(*) from t").unwrap();
-        let queries = muve_obs::metrics().counter("dbms.queries");
-        let cancelled = muve_obs::metrics().counter("dbms.cancelled");
-        let (q0, c0) = (queries.get(), cancelled.get());
-        let token = CancelToken::never();
-        token.cancel();
-        let opts = ExecOptions {
-            cancel: Some(&token),
-            ..ExecOptions::default()
-        };
-        let _ = run_all(&t, &q, opts);
-        assert_eq!(queries.get(), q0, "cancelled run must not count");
-        assert_eq!(cancelled.get() - c0, 1);
-    }
-
-    #[test]
-    fn cancelled_run_still_counts_partial_scan_work() {
-        // The abort path must report the rows it actually visited (the
-        // bug: pre-batch-engine, stats were only written after a complete
-        // scan, so aborted work vanished from the counters).
-        let t = big(50_000);
-        let q = parse("select count(*) from t").unwrap();
-        let partial = muve_obs::metrics().counter("dbms.partial_scans");
-        let p0 = partial.get();
-        let token = CancelToken::never();
-        token.cancel();
-        let progress = ScanProgress::new();
-        let opts = ExecOptions {
-            cancel: Some(&token),
-            mem: None,
-            progress: Some(&progress),
-        };
-        assert_eq!(run_all(&t, &q, opts), Err(ExecError::Cancelled));
-        assert_eq!(partial.get() - p0, 1, "aborted execution counted");
-        // Pre-cancelled token: zero rows is correct — the point is that
-        // the counters are written at all on the error path.
-        assert_eq!(progress.rows_scanned(), 0);
-    }
-
-    #[test]
     fn group_state_hits_request_cap() {
         // group by k over distinct keys: state grows with the row count
         // and must trip a small per-request cap mid-scan.

@@ -832,23 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_drops_stale_fingerprints() {
-        let reg = index_registry();
-        let t = table(512, 4, false);
-        let _ = reg.get_or_build(&t, "k", &ExecOptions::default()).unwrap();
-        assert!(reg.has_table(t.fingerprint()));
-        let before = muve_obs::metrics().counter("index.stale_drops").get();
-        assert_eq!(reg.drop_tables(&[t.fingerprint()]), 1);
-        assert!(!reg.has_table(t.fingerprint()));
-        assert_eq!(
-            muve_obs::metrics().counter("index.stale_drops").get(),
-            before + 1
-        );
-        // Dropping an unknown fingerprint is a no-op, not a counter hit.
-        assert_eq!(reg.drop_tables(&[t.fingerprint()]), 0);
-    }
-
-    #[test]
     fn build_respects_memory_governor() {
         let t = table(50_000, 8, false);
         let mem = MemBudget::new(64, None);

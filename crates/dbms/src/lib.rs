@@ -36,7 +36,6 @@ pub mod index;
 pub mod merge;
 pub mod morsel;
 pub mod parser;
-pub mod result_cache;
 pub mod sample;
 pub mod schema;
 pub mod table;
@@ -65,13 +64,12 @@ pub use index::{
     Postings,
 };
 pub use merge::{
-    execute_merged_with_opts, extract_merged, merge_is_beneficial, plan_group_paths, plan_merged,
-    MergeGroup, MergeMember, MergedResults,
+    execute_merged_with_opts, extract_merged, plan_group_paths, plan_merged, MergeGroup,
+    MergeMember, MergedResults,
 };
 pub use morsel::{morsels, Morsel, MORSEL_ROWS};
 pub use parser::{parse, ParseError};
-pub use result_cache::{fidelity_key, ResultCache, ResultKey, FIDELITY_EXACT};
 pub use sample::{bernoulli_rows, execute_approximate, scale_result, systematic_rows};
 pub use schema::{ColumnDef, Schema};
-pub use table::{Database, Table, TableBuilder};
+pub use table::{Table, TableBuilder};
 pub use value::{ColumnType, Value};

@@ -10,7 +10,7 @@
 //! Postgres optimizer.
 
 use crate::ast::{Aggregate, PredOp, Predicate, Query};
-use crate::cost::{choose_access_path, estimate, AccessPath, CostParams};
+use crate::cost::{choose_access_path, AccessPath, CostParams};
 use crate::exec::{ExecError, ExecOptions, ExecStats, ResultSet, ScanRequest, ScanRows};
 use crate::fingerprint::canon_ident;
 use crate::table::Table;
@@ -353,26 +353,6 @@ pub fn plan_group_paths(
         .collect()
 }
 
-/// Decide via the cost model whether executing `group` merged is cheaper
-/// than executing its members separately.
-pub fn merge_is_beneficial(
-    table: &Table,
-    group: &MergeGroup,
-    originals: &[Query],
-    params: &CostParams,
-) -> bool {
-    if group.members.len() <= 1 {
-        return false;
-    }
-    let merged_cost = estimate(table, &group.merged, params).total;
-    let separate: f64 = group
-        .members
-        .iter()
-        .map(|m| estimate(table, &originals[m.index], params).total)
-        .sum();
-    merged_cost < separate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,36 +481,6 @@ mod tests {
         ];
         let groups = plan_merged(&queries);
         assert_eq!(groups.len(), 2);
-    }
-
-    #[test]
-    fn cost_model_prefers_merge() {
-        let t = flights();
-        let queries = vec![
-            q("select sum(delay) from flights where origin = 'JFK'"),
-            q("select sum(delay) from flights where origin = 'LGA'"),
-            q("select sum(delay) from flights where origin = 'EWR'"),
-        ];
-        let groups = plan_merged(&queries);
-        assert!(merge_is_beneficial(
-            &t,
-            &groups[0],
-            &queries,
-            &CostParams::default()
-        ));
-    }
-
-    #[test]
-    fn singleton_never_beneficial() {
-        let t = flights();
-        let queries = vec![q("select count(*) from flights where origin = 'JFK'")];
-        let groups = plan_merged(&queries);
-        assert!(!merge_is_beneficial(
-            &t,
-            &groups[0],
-            &queries,
-            &CostParams::default()
-        ));
     }
 
     #[test]

@@ -3,8 +3,6 @@
 use crate::column::Column;
 use crate::schema::Schema;
 use crate::value::Value;
-use rustc_hash::FxHashMap;
-use std::sync::Arc;
 
 /// An immutable, in-memory columnar table.
 #[derive(Debug, Clone)]
@@ -188,39 +186,6 @@ fn content_fingerprint(name: &str, schema: &Schema, rows: usize, columns: &[Colu
     h.finish()
 }
 
-/// A named collection of tables (the database catalog).
-#[derive(Debug, Clone, Default)]
-pub struct Database {
-    tables: FxHashMap<String, Arc<Table>>,
-}
-
-impl Database {
-    /// Create an empty database.
-    pub fn new() -> Database {
-        Database::default()
-    }
-
-    /// Register a table under its own name (lowercased key).
-    pub fn register(&mut self, table: Table) -> Arc<Table> {
-        let t = Arc::new(table);
-        self.tables
-            .insert(t.name().to_ascii_lowercase(), Arc::clone(&t));
-        t
-    }
-
-    /// Fetch a table by (case-insensitive) name.
-    pub fn table(&self, name: &str) -> Option<&Arc<Table>> {
-        self.tables.get(&name.to_ascii_lowercase())
-    }
-
-    /// All table names.
-    pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.values().map(|t| t.name()).collect();
-        names.sort_unstable();
-        names
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,15 +221,6 @@ mod tests {
         let schema = Schema::new([("a", ColumnType::Int), ("b", ColumnType::Int)]);
         let mut b = Table::builder("t", schema);
         b.push_row([Value::from(1i64)]);
-    }
-
-    #[test]
-    fn catalog_roundtrip() {
-        let mut db = Database::new();
-        db.register(sample());
-        assert!(db.table("CITIES").is_some());
-        assert!(db.table("other").is_none());
-        assert_eq!(db.table_names(), vec!["cities"]);
     }
 
     #[test]

@@ -26,14 +26,12 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod candidates;
 pub mod describe;
 pub mod numwords;
 pub mod speech;
 pub mod text2sql;
 
-pub use cache::{CandidateCache, CandidateKey};
 pub use candidates::{CandidateError, CandidateGenerator, CandidateQuery};
 pub use describe::describe_query;
 pub use numwords::{confusable_numbers, number_to_words};

@@ -31,7 +31,7 @@ mod fault;
 mod session;
 
 pub use budget::DeadlineBudget;
-pub use cache::{CachesReport, FlightKey, SessionCaches};
+pub use cache::{CachesReport, SessionCaches};
 pub use error::{PipelineError, Stage};
 pub use fault::{EscapedPanic, FaultInjector, StageFault};
 pub use muve_obs::FaultSpecError;

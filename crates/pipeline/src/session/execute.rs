@@ -6,12 +6,13 @@
 
 use super::record::Run;
 use super::{guard, Session};
+use crate::cache::{fidelity_key, ResultKey};
 use crate::error::{PipelineError, Stage};
 use muve_cache::Join;
 use muve_core::Candidate;
 use muve_dbms::{
-    extract_merged, fidelity_key, plan_merged, query_fingerprint, ExecError, ExecOptions,
-    MergeGroup, Query, ResultKey, ResultSet, ScanRequest, ScanRows,
+    extract_merged, plan_merged, query_fingerprint, ExecError, ExecOptions, MergeGroup, Query,
+    ResultSet, ScanRequest, ScanRows,
 };
 use muve_obs::CancelCause;
 use muve_shard::ShardExecOptions;
@@ -330,12 +331,12 @@ impl Session<'_> {
                 fingerprint: query_fingerprint(&g.merged, Some(self.table.get())),
                 fidelity: fidelity_key(fraction, self.config.seed),
             };
-            if let Some(rs) = caches.results().get(&key) {
+            if let Some(rs) = caches.results.get(&key) {
                 // A hit scans no rows on behalf of this request.
                 return out.extract(&rs, g);
             }
             match caches
-                .flights()
+                .flights
                 .join((caches.epoch(), key.fingerprint, key.fidelity))
             {
                 Join::Leader(l) => lead = Some((l, caches, key)),
@@ -369,7 +370,7 @@ impl Session<'_> {
                     // Insert before publishing the flight, so a request
                     // arriving after the flight resolves finds the entry
                     // in the cache.
-                    caches.results().insert(key, Arc::clone(&rs), cost);
+                    caches.insert_result(key, Arc::clone(&rs), cost);
                     lead.finish(Some(rs));
                 }
             }

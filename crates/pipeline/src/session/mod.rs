@@ -35,7 +35,7 @@ mod record;
 pub use record::{DegradationEvent, DegradationTrace, Rung};
 
 use crate::budget::DeadlineBudget;
-use crate::cache::SessionCaches;
+use crate::cache::{CandidateKey, SessionCaches};
 use crate::error::{PipelineError, Stage};
 use crate::fault::{EscapedPanic, FaultInjector};
 use muve_core::{
@@ -43,7 +43,7 @@ use muve_core::{
     ScreenConfig, UserCostModel,
 };
 use muve_dbms::{parse, predicate_order_fingerprint, query_fingerprint, Query, Table};
-use muve_nlq::{translate, CandidateGenerator, CandidateKey, CandidateQuery};
+use muve_nlq::{translate, CandidateGenerator, CandidateQuery};
 use muve_obs::{CancelToken, MemBudget, MemPool, SessionTrace};
 use muve_shard::ShardSet;
 use record::Run;
@@ -348,7 +348,7 @@ impl<'a> Session<'a> {
             (caches, key)
         });
         if let Some((caches, key)) = key {
-            if let Some(hit) = caches.candidates().get(&key) {
+            if let Some(hit) = caches.candidates.get(&key) {
                 return Ok((hit, true));
             }
         }
@@ -361,7 +361,7 @@ impl<'a> Session<'a> {
         let cq = Arc::new(cq);
         if let Some((caches, key)) = key {
             let cost = budget.elapsed().saturating_sub(t0).as_micros() as u64;
-            caches.candidates().insert(key, Arc::clone(&cq), cost);
+            caches.insert_candidates(key, Arc::clone(&cq), cost);
         }
         Ok((cq, false))
     }

@@ -3,10 +3,11 @@
 
 use super::record::{Counters, Run, Rung};
 use super::{guard, top_candidate, Session};
+use crate::cache::distribution_fingerprint;
 use crate::error::{PipelineError, Stage};
 use muve_core::{
-    distribution_fingerprint, plan, plan_incremental_observed, Candidate, IlpConfig,
-    IncrementalSchedule, IncumbentSlot, Multiplot, PlanResult, Planner, Plot, PlotEntry,
+    plan, plan_incremental_observed, Candidate, IlpConfig, IncrementalSchedule, IncumbentSlot,
+    Multiplot, PlanResult, Planner, Plot, PlotEntry,
 };
 
 impl Session<'_> {
@@ -66,7 +67,7 @@ impl Session<'_> {
                 )
             });
             if let Some((caches, fp)) = dist_fp {
-                if let Some(hit) = caches.plans().get(fp) {
+                if let Some(hit) = caches.plans.get(&fp) {
                     if hit.proven_optimal && hit.multiplot.num_plots() > 0 {
                         run.finish(
                             st,
@@ -95,7 +96,7 @@ impl Session<'_> {
             match planned {
                 Ok(r) if r.multiplot.num_plots() > 0 => {
                     if let Some((caches, fp)) = dist_fp {
-                        caches.plans().offer(fp, &r);
+                        caches.offer_plan(fp, &r);
                     }
                     let proof = if r.proven_optimal {
                         "optimal"
@@ -122,7 +123,7 @@ impl Session<'_> {
             if let Some(incumbent) = slot.take() {
                 if incumbent.multiplot.num_plots() > 0 {
                     if let Some((caches, fp)) = dist_fp {
-                        caches.plans().offer(fp, &incumbent);
+                        caches.offer_plan(fp, &incumbent);
                     }
                     run.finish(
                         st,

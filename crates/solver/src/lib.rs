@@ -6,8 +6,9 @@
 //! selection with Gurobi. This crate is the from-scratch substitute: a
 //! two-phase primal [`simplex`] LP engine, a best-bound
 //! [`branch_bound`] search for mixed 0/1 programs with deadlines and
-//! warm-startable incumbents, and the exponential-timeout
-//! [`incremental`] schedule of paper §5.4. The [`model`] module offers a
+//! warm-startable incumbents. The exponential-timeout restart schedule of
+//! paper §5.4 runs on top of it in `muve-core`
+//! (`plan_incremental_observed`). The [`model`] module offers a
 //! small algebraic builder, including the binary-product linearizations the
 //! §5.3 objective encoding requires.
 //!
@@ -28,11 +29,9 @@
 #![warn(missing_docs)]
 
 pub mod branch_bound;
-pub mod incremental;
 pub mod model;
 pub mod simplex;
 
 pub use branch_bound::{solve_mip, MipConfig, MipResult, MipStatus};
-pub use incremental::{solve_incremental, IncrementalConfig, IncrementalStep};
 pub use model::{Direction, Expr, Model, Var};
 pub use simplex::{solve as solve_lp, Lp, LpOutcome, LpSolution};
