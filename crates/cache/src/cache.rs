@@ -1,16 +1,12 @@
-//! The sharded, epoch-versioned, cost-aware-LRU cache.
+//! The epoch-versioned, least-recently-used cache.
 
 use muve_obs::{lock_recover, metrics, Counter, Gauge, Histogram};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Default number of shards; each shard is an independent mutex + map so
-/// concurrent workers rarely contend on the same lock.
-const DEFAULT_SHARDS: usize = 8;
 
 /// Fixed per-entry bookkeeping overhead charged against the byte budget in
 /// addition to the caller's estimate, so zero-byte estimates cannot grow
@@ -21,24 +17,16 @@ struct Entry<V> {
     value: V,
     epoch: u64,
     bytes: usize,
-    cost_us: u64,
     last_tick: u64,
 }
 
-impl<V> Entry<V> {
-    /// Eviction score: higher survives longer. Recency (the global tick at
-    /// last use) plus a recompute-cost bonus of one tick per µs-per-KiB,
-    /// so an entry that took 10 ms to compute and weighs 1 KiB outscores
-    /// an equally recent one that took 10 µs.
-    fn score(&self) -> u64 {
-        let per_kib = self.cost_us / (self.bytes as u64 / 1024 + 1);
-        self.last_tick.saturating_add(per_kib)
-    }
-}
-
-struct Shard<K, V> {
-    map: HashMap<K, Entry<V>>,
+/// The map with its resident bytes and its use clock, all under one lock:
+/// every lookup and insert takes the next tick, so the eviction order is
+/// the order of the calls.
+struct Map<K, V> {
+    entries: HashMap<K, Entry<V>>,
     bytes: usize,
+    tick: u64,
 }
 
 /// Point-in-time statistics for one [`Cache`] instance.
@@ -133,19 +121,17 @@ fn bump(pair: &[std::sync::Arc<Counter>; 2]) {
     pair[1].incr();
 }
 
-/// A sharded, memory-bounded, epoch-versioned cache.
+/// A memory-bounded, epoch-versioned, least-recently-used cache.
 ///
-/// Keys are hashed (with a deterministic [`DefaultHasher`]) to one of N
-/// mutex-guarded shards; each shard owns `max_bytes / N` of the byte
-/// budget. A cache built with `max_bytes == 0` is *disabled*: lookups
+/// One mutex-guarded map holds every entry; the whole `max_bytes` budget
+/// bounds it. A cache built with `max_bytes == 0` is *disabled*: lookups
 /// miss without recording metrics and inserts are dropped, which is how
 /// `--cache-mb 0` guarantees bit-identical uncached behaviour.
 pub struct Cache<K, V> {
     layer: String,
-    shards: Vec<Mutex<Shard<K, V>>>,
-    shard_budget: usize,
+    map: Mutex<Map<K, V>>,
+    max_bytes: usize,
     epoch: AtomicU64,
-    tick: AtomicU64,
     metrics: LayerMetrics,
     stats: StatCells,
 }
@@ -164,8 +150,7 @@ impl<K, V> fmt::Debug for Cache<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cache")
             .field("layer", &self.layer)
-            .field("shards", &self.shards.len())
-            .field("shard_budget", &self.shard_budget)
+            .field("max_bytes", &self.max_bytes)
             .field("epoch", &self.epoch.load(Ordering::Relaxed))
             .finish()
     }
@@ -173,28 +158,17 @@ impl<K, V> fmt::Debug for Cache<K, V> {
 
 impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     /// A cache named `layer` (used as the `cache.<layer>.*` metric prefix)
-    /// holding at most `max_bytes` across the default shard count.
+    /// holding at most `max_bytes`.
     pub fn new(layer: &str, max_bytes: usize) -> Cache<K, V> {
-        Cache::with_shards(layer, max_bytes, DEFAULT_SHARDS)
-    }
-
-    /// As [`Cache::new`] with an explicit shard count (tests use 1 shard
-    /// for deterministic eviction order).
-    pub fn with_shards(layer: &str, max_bytes: usize, shards: usize) -> Cache<K, V> {
-        let shards = shards.max(1);
         Cache {
             layer: layer.to_owned(),
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        bytes: 0,
-                    })
-                })
-                .collect(),
-            shard_budget: max_bytes / shards,
+            map: Mutex::new(Map {
+                entries: HashMap::new(),
+                bytes: 0,
+                tick: 0,
+            }),
+            max_bytes,
             epoch: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
             metrics: LayerMetrics::new(layer),
             stats: StatCells::default(),
         }
@@ -202,7 +176,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
 
     /// Whether the byte budget is zero (the cache is a no-op).
     pub fn is_disabled(&self) -> bool {
-        self.shard_budget == 0
+        self.max_bytes == 0
     }
 
     /// The current epoch new entries are stamped with.
@@ -217,12 +191,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         self.epoch.store(epoch, Ordering::Relaxed);
     }
 
-    fn shard_of(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
     /// Look `key` up, dropping it first if its epoch is stale.
     pub fn get(&self, key: &K) -> Option<V> {
         if self.is_disabled() {
@@ -230,22 +198,22 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         }
         let start = Instant::now();
         let epoch = self.epoch();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut shard = lock_recover(self.shard_of(key), "cache.lock_poisoned");
+        let mut guard = lock_recover(&self.map, "cache.lock_poisoned");
+        let map = &mut *guard;
+        map.tick += 1;
         self.stats.lookups.fetch_add(1, Ordering::Relaxed);
         bump(&self.metrics.lookups);
-        let out = match shard.map.get_mut(key) {
+        let out = match map.entries.get_mut(key) {
             Some(entry) if entry.epoch == epoch => {
-                entry.last_tick = tick;
-                let v = entry.value.clone();
+                entry.last_tick = map.tick;
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 bump(&self.metrics.hit);
-                Some(v)
+                Some(entry.value.clone())
             }
             Some(_) => {
                 // Stale: the table this entry was computed against is gone.
-                let entry = shard.map.remove(key).expect("entry just matched");
-                shard.bytes -= entry.bytes;
+                let entry = map.entries.remove(key).expect("entry just matched");
+                map.bytes -= entry.bytes;
                 self.add_bytes(-(entry.bytes as i64));
                 self.stats.stale.fetch_add(1, Ordering::Relaxed);
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -259,56 +227,56 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
                 None
             }
         };
-        drop(shard);
+        drop(guard);
         self.metrics.lookup_us.record_duration(start.elapsed());
         out
     }
 
     /// Insert `value` under `key`, charging `bytes` (the caller's size
-    /// estimate) plus fixed overhead against the byte budget and recording
-    /// `cost_us` (measured recompute cost) for cost-aware eviction. An
-    /// entry larger than a whole shard's budget is silently not cached.
-    pub fn insert(&self, key: K, value: V, bytes: usize, cost_us: u64) {
+    /// estimate) plus fixed overhead against the byte budget, then evict
+    /// least-recently-used entries until the layer fits its budget again.
+    /// An entry larger than the whole budget is silently not cached.
+    pub fn insert(&self, key: K, value: V, bytes: usize) {
         if self.is_disabled() {
             return;
         }
         let charged = bytes + ENTRY_OVERHEAD;
-        if charged > self.shard_budget {
+        if charged > self.max_bytes {
             return;
         }
         let epoch = self.epoch();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut shard = lock_recover(self.shard_of(&key), "cache.lock_poisoned");
-        if let Some(old) = shard.map.insert(
-            key,
-            Entry {
-                value,
-                epoch,
-                bytes: charged,
-                cost_us,
-                last_tick: tick,
-            },
-        ) {
-            shard.bytes -= old.bytes;
+        let mut guard = lock_recover(&self.map, "cache.lock_poisoned");
+        let map = &mut *guard;
+        map.tick += 1;
+        let entry = Entry {
+            value,
+            epoch,
+            bytes: charged,
+            last_tick: map.tick,
+        };
+        if let Some(old) = map.entries.insert(key, entry) {
+            map.bytes -= old.bytes;
             self.add_bytes(-(old.bytes as i64));
         }
-        shard.bytes += charged;
+        map.bytes += charged;
         self.add_bytes(charged as i64);
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         bump(&self.metrics.insert);
-        while shard.bytes > self.shard_budget {
-            // Victim = lowest recency+cost score. O(shard entries), but
-            // shards stay small under MB-scale budgets.
-            let victim = shard
-                .map
+        while map.bytes > self.max_bytes {
+            // A linear scan for the oldest tick. Ticks are unique, so the
+            // victim does not depend on the map's iteration order; the
+            // just-inserted entry is the newest and fits the budget alone,
+            // so it always survives.
+            let Some(victim) = map
+                .entries
                 .iter()
-                .min_by_key(|(_, e)| e.score())
-                .map(|(k, _)| k.clone());
-            let Some(k) = victim else { break };
-            let Some(evicted) = shard.map.remove(&k) else {
+                .min_by_key(|(_, e)| e.last_tick)
+                .map(|(k, _)| k.clone())
+            else {
                 break;
             };
-            shard.bytes -= evicted.bytes;
+            let evicted = map.entries.remove(&victim).expect("victim is resident");
+            map.bytes -= evicted.bytes;
             self.add_bytes(-(evicted.bytes as i64));
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             bump(&self.metrics.evict);
@@ -322,23 +290,16 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
 
     /// Drop every entry.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = lock_recover(shard, "cache.lock_poisoned");
-            let freed = shard.bytes;
-            shard.map.clear();
-            shard.bytes = 0;
-            self.add_bytes(-(freed as i64));
-        }
+        let mut map = lock_recover(&self.map, "cache.lock_poisoned");
+        let freed = map.bytes;
+        map.entries.clear();
+        map.bytes = 0;
+        self.add_bytes(-(freed as i64));
     }
 
     /// Local statistics for this instance.
     pub fn stats(&self) -> CacheStats {
-        let (mut bytes, mut entries) = (0u64, 0u64);
-        for shard in &self.shards {
-            let shard = lock_recover(shard, "cache.lock_poisoned");
-            bytes += shard.bytes as u64;
-            entries += shard.map.len() as u64;
-        }
+        let map = lock_recover(&self.map, "cache.lock_poisoned");
         CacheStats {
             lookups: self.stats.lookups.load(Ordering::Relaxed),
             hits: self.stats.hits.load(Ordering::Relaxed),
@@ -346,8 +307,8 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             inserts: self.stats.inserts.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             stale: self.stats.stale.load(Ordering::Relaxed),
-            bytes,
-            entries,
+            bytes: map.bytes as u64,
+            entries: map.entries.len() as u64,
         }
     }
 }
@@ -360,7 +321,7 @@ mod tests {
     fn hit_miss_and_flow_conservation() {
         let c: Cache<u64, String> = Cache::new("test_basic", 1 << 20);
         assert_eq!(c.get(&1), None);
-        c.insert(1, "one".to_owned(), 16, 100);
+        c.insert(1, "one".to_owned(), 16);
         assert_eq!(c.get(&1).as_deref(), Some("one"));
         assert_eq!(c.get(&2), None);
         let s = c.stats();
@@ -376,7 +337,7 @@ mod tests {
     #[test]
     fn epoch_bump_drops_entries_lazily() {
         let c: Cache<u64, u64> = Cache::new("test_epoch", 1 << 20);
-        c.insert(1, 11, 8, 10);
+        c.insert(1, 11, 8);
         assert_eq!(c.get(&1), Some(11));
         c.set_epoch(7);
         // Stale entry is dropped on the lookup that touches it.
@@ -386,33 +347,39 @@ mod tests {
         assert_eq!(s.entries, 0);
         assert_eq!(s.bytes, 0);
         // A fresh insert under the new epoch works.
-        c.insert(1, 22, 8, 10);
+        c.insert(1, 22, 8);
         assert_eq!(c.get(&1), Some(22));
     }
 
     #[test]
-    fn eviction_respects_budget_and_prefers_cheap_victims() {
-        // One shard so eviction order is deterministic. Budget fits two
-        // entries (each charged bytes + overhead).
+    fn eviction_drops_the_least_recently_used() {
+        // The budget fits two entries (each charged bytes + overhead).
         let budget = 2 * (200 + ENTRY_OVERHEAD) + 10;
-        let c: Cache<u64, u64> = Cache::with_shards("test_evict", budget, 1);
-        c.insert(1, 1, 200, 5); // cheap to recompute
-        c.insert(2, 2, 200, 1_000_000); // expensive to recompute
-        c.insert(3, 3, 200, 5); // forces one eviction
+        let c: Cache<u64, u64> = Cache::new("test_evict", budget);
+        c.insert(1, 1, 200);
+        c.insert(2, 2, 200);
+        assert_eq!(c.get(&1), Some(1)); // 2 is now the least recently used
+        c.insert(3, 3, 200); // forces one eviction
         let s = c.stats();
         assert_eq!(s.evictions, 1);
         assert!(s.bytes <= budget as u64);
-        // The cheap, least-recent entry went first; the expensive one
-        // survived despite equal recency class.
-        assert_eq!(c.get(&1), None);
-        assert_eq!(c.get(&2), Some(2));
+        assert_eq!(c.get(&2), None);
+        assert_eq!(c.get(&1), Some(1));
         assert_eq!(c.get(&3), Some(3));
     }
 
     #[test]
+    fn entries_up_to_the_layer_budget_are_cached() {
+        let c: Cache<u64, Vec<u8>> = Cache::new("test_whole_budget", 1_000);
+        c.insert(1, vec![0; 200], 200);
+        assert_eq!(c.get(&1).map(|v| v.len()), Some(200));
+        assert_eq!(c.stats().inserts, 1);
+    }
+
+    #[test]
     fn oversized_entries_are_not_cached() {
-        let c: Cache<u64, Vec<u8>> = Cache::with_shards("test_oversize", 256, 1);
-        c.insert(1, vec![0; 4096], 4096, 10);
+        let c: Cache<u64, Vec<u8>> = Cache::new("test_oversize", 256);
+        c.insert(1, vec![0; 4096], 4096);
         assert_eq!(c.get(&1), None);
         assert_eq!(c.stats().inserts, 0);
     }
@@ -421,7 +388,7 @@ mod tests {
     fn zero_budget_disables_everything() {
         let c: Cache<u64, u64> = Cache::new("test_disabled", 0);
         assert!(c.is_disabled());
-        c.insert(1, 1, 8, 10);
+        c.insert(1, 1, 8);
         assert_eq!(c.get(&1), None);
         let s = c.stats();
         assert_eq!(s.lookups, 0, "disabled caches record nothing");
@@ -432,7 +399,7 @@ mod tests {
     fn clear_frees_bytes() {
         let c: Cache<u64, u64> = Cache::new("test_clear", 1 << 20);
         for i in 0..10 {
-            c.insert(i, i, 64, 10);
+            c.insert(i, i, 64);
         }
         assert_eq!(c.stats().entries, 10);
         c.clear();

@@ -67,41 +67,19 @@ pub struct Waiter<V> {
 }
 
 impl<V: Clone> Waiter<V> {
-    /// Block until the leader resolves the flight or `timeout` elapses.
+    /// Block until the leader resolves the flight, `timeout` elapses, or
+    /// `cancel` (when given) fires.
     ///
     /// - `Some(Some(v))` — the leader succeeded with `v`;
     /// - `Some(None)` — the leader failed (error or panic); the waiter
     ///   should fall back to computing itself;
     /// - `None` — the timeout (the waiter's own remaining deadline
-    ///   budget) elapsed first.
-    pub fn wait(self, timeout: Duration) -> Option<Option<V>> {
-        let deadline = Instant::now() + timeout;
-        let mut result = lock_recover(&self.flight.result, "cache.lock_poisoned");
-        loop {
-            if let Some(out) = result.as_ref() {
-                return Some(out.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, wto) = self
-                .flight
-                .done
-                .wait_timeout(result, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            result = guard;
-            if wto.timed_out() && result.is_none() {
-                return None;
-            }
-        }
-    }
-
-    /// As [`wait`](Self::wait), but also abandons the wait when `cancel`
-    /// fires: the condvar wait is sliced so the token is consulted every
-    /// few milliseconds, and each consult stamps the waiter's heartbeat —
-    /// a parked waiter is *slow*, not *wedged*, to the serve watchdog.
-    pub fn wait_cancellable(self, timeout: Duration, cancel: &CancelToken) -> Option<Option<V>> {
+    ///   budget) elapsed or the token fired first.
+    ///
+    /// The condvar wait is sliced so a token is consulted every few
+    /// milliseconds, and each consult stamps the waiter's heartbeat — a
+    /// parked waiter is *slow*, not *wedged*, to the serve watchdog.
+    pub fn wait(self, timeout: Duration, cancel: Option<&CancelToken>) -> Option<Option<V>> {
         const SLICE: Duration = Duration::from_millis(5);
         let deadline = Instant::now() + timeout;
         let mut result = lock_recover(&self.flight.result, "cache.lock_poisoned");
@@ -109,11 +87,8 @@ impl<V: Clone> Waiter<V> {
             if let Some(out) = result.as_ref() {
                 return Some(out.clone());
             }
-            if cancel.should_stop() {
-                return None;
-            }
             let now = Instant::now();
-            if now >= deadline {
+            if now >= deadline || cancel.is_some_and(CancelToken::should_stop) {
                 return None;
             }
             let (guard, _) = self
@@ -221,7 +196,7 @@ mod tests {
                         Join::Leader(_) => panic!("leadership already taken"),
                     };
                     barrier.wait();
-                    w.wait(Duration::from_secs(5))
+                    w.wait(Duration::from_secs(5), None)
                 })
             })
             .collect();
@@ -246,7 +221,7 @@ mod tests {
             Join::Leader(_) => panic!("flight exists"),
         };
         drop(lead); // simulates a leader that panicked
-        assert_eq!(waiter.wait(Duration::from_secs(5)), Some(None));
+        assert_eq!(waiter.wait(Duration::from_secs(5), None), Some(None));
         // The flight is gone: the next join leads again.
         assert!(matches!(sf.join(1), Join::Leader(_)));
     }
@@ -262,7 +237,7 @@ mod tests {
             Join::Waiter(w) => w,
             Join::Leader(_) => panic!("flight exists"),
         };
-        assert_eq!(waiter.wait(Duration::from_millis(20)), None);
+        assert_eq!(waiter.wait(Duration::from_millis(20), None), None);
     }
 
     #[test]
@@ -284,10 +259,7 @@ mod tests {
         });
         let start = Instant::now();
         // Generous timeout: only the cancellation can end this wait early.
-        assert_eq!(
-            waiter.wait_cancellable(Duration::from_secs(10), &cancel),
-            None
-        );
+        assert_eq!(waiter.wait(Duration::from_secs(10), Some(&cancel)), None);
         assert!(
             start.elapsed() < Duration::from_millis(500),
             "cancel must cut the wait short, took {:?}",
@@ -308,8 +280,7 @@ mod tests {
             Join::Leader(_) => panic!("flight exists"),
         };
         let cancel = CancelToken::never();
-        let h =
-            std::thread::spawn(move || waiter.wait_cancellable(Duration::from_secs(5), &cancel));
+        let h = std::thread::spawn(move || waiter.wait(Duration::from_secs(5), Some(&cancel)));
         std::thread::sleep(Duration::from_millis(10));
         lead.finish(Some(99));
         assert_eq!(h.join().unwrap(), Some(Some(99)));

@@ -183,44 +183,40 @@ impl SessionCaches {
         }
     }
 
-    /// Cache a candidate distribution, recording the measured generation
-    /// cost for cost-aware eviction.
-    pub(crate) fn insert_candidates(
-        &self,
-        key: CandidateKey,
-        cands: Arc<Vec<CandidateQuery>>,
-        cost_us: u64,
-    ) {
+    /// Cache a candidate distribution, charging its approximate size.
+    pub(crate) fn insert_candidates(&self, key: CandidateKey, cands: Arc<Vec<CandidateQuery>>) {
         // Rough heap footprint of a distribution.
         let bytes = 64 + cands.len() * 256;
-        self.candidates.insert(key, cands, bytes, cost_us);
+        self.candidates.insert(key, cands, bytes);
     }
 
-    /// Cache a result, charging its approximate size and recording the
-    /// measured recompute cost for cost-aware eviction.
-    pub(crate) fn insert_result(&self, key: ResultKey, rs: Arc<ResultSet>, cost_us: u64) {
+    /// Cache a result, charging its approximate size.
+    pub(crate) fn insert_result(&self, key: ResultKey, rs: Arc<ResultSet>) {
         let bytes = rs.approx_bytes();
-        self.results.insert(key, rs, bytes, cost_us);
+        self.results.insert(key, rs, bytes);
     }
 
     /// Record `result` for the planning problem `fingerprint` if it is
-    /// worth keeping: when no entry exists, when the new plan costs less,
-    /// or when it upgrades an unproven plan to proven-optimal.
-    pub(crate) fn offer_plan(&self, fingerprint: u64, result: &PlanResult) {
-        let better = match self.plans.get(&fingerprint) {
-            None => true,
-            Some(old) => {
-                result.expected_cost < old.expected_cost - 1e-9
-                    || (result.proven_optimal && !old.proven_optimal)
-            }
-        };
+    /// worth keeping over `held`, the entry the caller's own lookup
+    /// returned: when there was none, when the new plan costs less, or
+    /// when it upgrades an unproven plan to proven-optimal. Taking the
+    /// held entry from the caller keeps an offer from counting as a
+    /// second lookup.
+    pub(crate) fn offer_plan(
+        &self,
+        fingerprint: u64,
+        result: &PlanResult,
+        held: Option<&PlanResult>,
+    ) {
+        let better = held.is_none_or(|old| {
+            result.expected_cost < old.expected_cost - 1e-9
+                || (result.proven_optimal && !old.proven_optimal)
+        });
         if better {
             // Rough heap footprint of a plan.
             let m = &result.multiplot;
             let bytes = 128 + m.num_plots() * 96 + m.num_bars() * 48;
-            let cost_us = result.planning_time.as_micros().min(u128::from(u64::MAX)) as u64;
-            self.plans
-                .insert(fingerprint, result.clone(), bytes, cost_us);
+            self.plans.insert(fingerprint, result.clone(), bytes);
         }
     }
 
@@ -365,7 +361,7 @@ mod tests {
             fidelity: FIDELITY_EXACT,
         };
         assert!(caches.results.get(&key).is_none());
-        caches.insert_result(key, Arc::clone(&rs), 50);
+        caches.insert_result(key, Arc::clone(&rs));
         assert_eq!(caches.results.get(&key).unwrap().scalar(), rs.scalar());
 
         // Reload: the new epoch drops the entry lazily.
@@ -406,7 +402,7 @@ mod tests {
             max_candidates: 10,
         };
         assert!(caches.candidates.get(&key).is_none());
-        caches.insert_candidates(key, Arc::clone(&cands), 100);
+        caches.insert_candidates(key, Arc::clone(&cands));
         assert_eq!(*caches.candidates.get(&key).unwrap(), *cands);
 
         // Different knobs are different cache entries.
@@ -455,7 +451,7 @@ mod tests {
 
         let caches = SessionCaches::new(1 << 20);
         assert!(caches.plans.get(&fp).is_none());
-        caches.offer_plan(fp, &result);
+        caches.offer_plan(fp, &result, None);
         let held = caches.plans.get(&fp).expect("cached");
         assert_eq!(held.multiplot, result.multiplot);
 
@@ -464,7 +460,7 @@ mod tests {
             expected_cost: result.expected_cost + 10.0,
             ..result.clone()
         };
-        caches.offer_plan(fp, &worse);
+        caches.offer_plan(fp, &worse, Some(&held));
         assert!(
             (caches.plans.get(&fp).unwrap().expected_cost - result.expected_cost).abs() < 1e-12
         );
@@ -474,7 +470,7 @@ mod tests {
             proven_optimal: true,
             ..result.clone()
         };
-        caches.offer_plan(fp, &proven);
+        caches.offer_plan(fp, &proven, Some(&held));
         assert!(caches.plans.get(&fp).unwrap().proven_optimal);
     }
 

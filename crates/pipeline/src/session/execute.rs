@@ -341,17 +341,12 @@ impl Session<'_> {
             {
                 Join::Leader(l) => lead = Some((l, caches, key)),
                 Join::Waiter(waiter) => {
-                    let published = match opts.cancel {
-                        Some(c) => waiter.wait_cancellable(run.budget.remaining(), c),
-                        None => waiter.wait(run.budget.remaining()),
-                    };
-                    if let Some(Some(rs)) = published {
+                    if let Some(Some(rs)) = waiter.wait(run.budget.remaining(), opts.cancel) {
                         return out.extract(&rs, g);
                     }
                 }
             }
         }
-        let t0 = run.budget.elapsed();
         // The gather is bounded by what is left of θ exactly when the
         // attempt carries the token: the rescue attempt runs without both.
         let gather_budget = opts.cancel.map(|_| run.budget.remaining());
@@ -366,11 +361,10 @@ impl Session<'_> {
                 // themselves (their own gather may be whole).
                 if let (Some((lead, caches, key)), 0) = (lead, missing) {
                     let rs = Arc::new(rs);
-                    let cost = run.budget.elapsed().saturating_sub(t0).as_micros() as u64;
                     // Insert before publishing the flight, so a request
                     // arriving after the flight resolves finds the entry
                     // in the cache.
-                    caches.insert_result(key, Arc::clone(&rs), cost);
+                    caches.insert_result(key, Arc::clone(&rs));
                     lead.finish(Some(rs));
                 }
             }

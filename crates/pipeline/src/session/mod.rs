@@ -336,7 +336,6 @@ impl<'a> Session<'a> {
     fn candidate_distribution(
         &self,
         base: &Query,
-        budget: &DeadlineBudget,
     ) -> Result<(Arc<Vec<CandidateQuery>>, bool), PipelineError> {
         let key = self.caches.as_deref().map(|caches| {
             let key = CandidateKey {
@@ -353,15 +352,13 @@ impl<'a> Session<'a> {
             }
         }
         self.injector.trip(Stage::Candidates)?;
-        let t0 = budget.elapsed();
         let cq = self
             .generator()
             .try_candidates(base, self.config.k, self.config.max_candidates)
             .map_err(|e| PipelineError::Candidates(e.to_string()))?;
         let cq = Arc::new(cq);
         if let Some((caches, key)) = key {
-            let cost = budget.elapsed().saturating_sub(t0).as_micros() as u64;
-            caches.insert_candidates(key, Arc::clone(&cq), cost);
+            caches.insert_candidates(key, Arc::clone(&cq));
         }
         Ok((cq, false))
     }
@@ -464,9 +461,7 @@ impl<'a> Session<'a> {
             run.finish(st, run.rung, detail, count(1));
             return base_only();
         }
-        match guard(Stage::Candidates, || {
-            self.candidate_distribution(base, &run.budget)
-        }) {
+        match guard(Stage::Candidates, || self.candidate_distribution(base)) {
             Ok((cq, from_cache)) => {
                 let detail = if from_cache {
                     "candidate cache hit"

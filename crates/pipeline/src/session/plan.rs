@@ -66,20 +66,21 @@ impl Session<'_> {
                     ),
                 )
             });
-            if let Some((caches, fp)) = dist_fp {
-                if let Some(hit) = caches.plans.get(&fp) {
-                    if hit.proven_optimal && hit.multiplot.num_plots() > 0 {
-                        run.finish(
-                            st,
-                            Rung::Ilp,
-                            "plan cache hit (proven optimal)",
-                            plan_counters(&hit),
-                        );
-                        return hit.multiplot;
-                    }
-                    slot.record(&hit);
-                    cfg.seed = Some(hit.multiplot);
+            // The entry this lookup returned is what later offers compare
+            // against, so an offer is never a second lookup.
+            let held = dist_fp.and_then(|(caches, fp)| caches.plans.get(&fp));
+            if let Some(hit) = &held {
+                if hit.proven_optimal && hit.multiplot.num_plots() > 0 {
+                    run.finish(
+                        st,
+                        Rung::Ilp,
+                        "plan cache hit (proven optimal)",
+                        plan_counters(hit),
+                    );
+                    return hit.multiplot.clone();
                 }
+                slot.record(hit);
+                cfg.seed = Some(hit.multiplot.clone());
             }
             let planned = guard(Stage::Plan, || {
                 self.injector.trip(Stage::Plan)?;
@@ -96,7 +97,7 @@ impl Session<'_> {
             match planned {
                 Ok(r) if r.multiplot.num_plots() > 0 => {
                     if let Some((caches, fp)) = dist_fp {
-                        caches.offer_plan(fp, &r);
+                        caches.offer_plan(fp, &r, held.as_ref());
                     }
                     let proof = if r.proven_optimal {
                         "optimal"
@@ -123,7 +124,7 @@ impl Session<'_> {
             if let Some(incumbent) = slot.take() {
                 if incumbent.multiplot.num_plots() > 0 {
                     if let Some((caches, fp)) = dist_fp {
-                        caches.offer_plan(fp, &incumbent);
+                        caches.offer_plan(fp, &incumbent, held.as_ref());
                     }
                     run.finish(
                         st,

@@ -12,7 +12,10 @@
 //!   returns the same values at every fidelity, and a warm cache executes
 //!   nothing;
 //! - transcripts naming the same predicates in a different order do not
-//!   share a candidate-cache entry.
+//!   share a candidate-cache entry;
+//! - an ILP-planned session looks the plan layer up once, offer included;
+//! - the same sequence of sessions against two fresh, evicting bundles
+//!   leaves the same counts in both.
 
 use muve::core::Planner;
 use muve::data::Dataset;
@@ -344,4 +347,74 @@ fn predicate_order_separates_candidate_cache_entries() {
         report.candidates.hits, 1,
         "the repeat hit its own: {report}"
     );
+}
+
+/// Offering a plan used to re-read the plan layer, so one ILP session on
+/// a fresh bundle counted two plan lookups and two misses. The plan stage
+/// now hands its own lookup's entry to the offer.
+#[test]
+fn one_ilp_session_looks_the_plan_layer_up_once() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    let table = flights();
+    let caches = Arc::new(SessionCaches::new(8 << 20));
+    caches.set_table(&table);
+    let config = SessionConfig {
+        deadline: Duration::from_secs(10),
+        ..SessionConfig::default()
+    };
+    assert!(matches!(config.planner, Planner::Ilp(_)));
+    let outcome = run(&table, config, Some(&caches), None);
+    assert!(matches!(
+        outcome.visualization,
+        Visualization::Multiplot { .. }
+    ));
+    let plans = caches.stats().plans;
+    assert_eq!(
+        (plans.lookups, plans.misses, plans.inserts),
+        (1, 1, 1),
+        "{plans}"
+    );
+}
+
+/// Eviction is least-recently-used over each layer's whole budget, so
+/// which entry goes depends only on the order of lookups and inserts: two
+/// fresh bundles small enough to evict, driven through the same session
+/// sequence, must end with the same counts in every field.
+#[test]
+fn the_same_sessions_leave_the_same_cache_counts() {
+    let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
+    let table = flights();
+    let config = SessionConfig {
+        deadline: Duration::from_secs(10),
+        planner: Planner::Greedy,
+        ..SessionConfig::default()
+    };
+    let transcripts: Vec<String> = ["jfk", "lga", "ewr", "ord", "atl", "sfo"]
+        .iter()
+        .flat_map(|o| {
+            ["average dep delay", "average arr delay", "total distance"]
+                .map(|measure| format!("{measure} in {o}"))
+        })
+        .collect();
+    let report = || {
+        let caches = Arc::new(SessionCaches::new(24 << 10));
+        caches.set_table(&table);
+        let session = Session::new(&table, config.clone()).with_caches(Arc::clone(&caches));
+        // 26 sessions over 18 transcripts, some repeated right away (hits)
+        // and some only after the layer has moved on (misses again).
+        for i in [
+            0, 1, 0, 2, 3, 2, 4, 0, 5, 6, 5, 7, 8, 1, 9, 10, 9, 11, 12, 13, 12, 14, 15, 16, 17, 0,
+        ] {
+            session.run(&transcripts[i]);
+        }
+        caches.stats()
+    };
+    let (a, b) = (report(), report());
+    assert_eq!(a.candidates, b.candidates, "{a}\n--\n{b}");
+    assert_eq!(a.results, b.results, "{a}\n--\n{b}");
+    assert_eq!(a.plans, b.plans, "{a}\n--\n{b}");
+    assert_eq!(a.singleflight_leads, b.singleflight_leads);
+    assert_eq!(a.singleflight_waits, b.singleflight_waits);
+    assert!(a.candidates.evictions > 0, "the budget must evict: {a}");
+    assert!(a.results.evictions > 0, "the budget must evict: {a}");
 }
