@@ -21,7 +21,8 @@
 //! boundary, and memory for group state is charged as groups appear — the
 //! same observability and governor contracts as the row-at-a-time
 //! reference path ([`crate::exec::execute_reference`]), which this module
-//! must match bit-for-bit (`tests/batch_vs_row.rs`).
+//! must match — bit for bit when float sums are exact, which the
+//! differential suites' dyadic floats guarantee.
 
 use crate::ast::{AggFunc, CmpOp, PredOp, Query};
 use crate::column::{Column, ColumnData, Dictionary};
@@ -531,13 +532,91 @@ impl GroupInput<'_> {
     }
 }
 
+/// The composite group key of a query, one `i64` part per GROUP BY
+/// column. A NULL row stores 0 (code 0, int 0), so when any key column
+/// has a NULL mask the key carries trailing *null words* too: bit `i` of
+/// word `i / 64` is set when column `i` is NULL, and that column's part is
+/// zeroed. A NULL key is therefore its own group, never the group of code
+/// 0 or int 0. Queries whose key columns have no mask have no null words
+/// and do no per-row NULL work; the choice is made at compile time.
+pub(crate) struct GroupKey<'a> {
+    pub(crate) inputs: Vec<GroupInput<'a>>,
+    /// The NULL mask of each key column (`None` when it has no NULLs).
+    nulls: Vec<Option<&'a [bool]>>,
+    /// Trailing null words per key: 0 when no key column has a mask.
+    null_words: usize,
+}
+
+impl GroupKey<'_> {
+    /// Whether the query is ungrouped.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.inputs.is_empty()
+    }
+
+    /// Parts per key, null words included.
+    pub(crate) fn len(&self) -> usize {
+        self.inputs.len() + self.null_words
+    }
+
+    /// Write `row`'s key into `buf`.
+    #[inline]
+    pub(crate) fn fill(&self, row: usize, buf: &mut Vec<i64>) {
+        buf.clear();
+        buf.extend(self.inputs.iter().map(|g| g.key(row)));
+        if self.null_words > 0 {
+            buf.resize(self.len(), 0);
+            let n = self.inputs.len();
+            for (i, mask) in self.nulls.iter().enumerate() {
+                if mask.is_some_and(|m| m[row]) {
+                    buf[i] = 0;
+                    buf[n + i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
+    }
+
+    /// Bring a key from a table whose key columns had no NULL mask (a
+    /// shard without NULLs) to this key's layout: its null words are 0.
+    fn pad(&self, key: &mut Vec<i64>) {
+        key.resize(self.len(), 0);
+    }
+
+    /// Whether key column `i` is NULL in `key`.
+    fn is_null(&self, key: &[i64], i: usize) -> bool {
+        self.null_words > 0 && key[self.inputs.len() + i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// Group order: column by column, values ascending (string columns
+    /// in dictionary order), NULL after every value.
+    fn cmp(&self, a: &[i64], b: &[i64]) -> std::cmp::Ordering {
+        if self.null_words == 0 {
+            return a.cmp(b);
+        }
+        (0..self.inputs.len())
+            .map(|i| (self.is_null(a, i), a[i]).cmp(&(self.is_null(b, i), b[i])))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    }
+
+    /// The output value of key column `i`.
+    fn value(&self, key: &[i64], i: usize) -> Value {
+        if self.is_null(key, i) {
+            return Value::Null;
+        }
+        match &self.inputs[i] {
+            GroupInput::Int(_) => Value::Int(key[i]),
+            GroupInput::Code { dict, .. } => Value::Str(dict.resolve(key[i] as u32).to_owned()),
+        }
+    }
+}
+
 /// A fully compiled query: validated bindings of predicates, aggregate
 /// inputs, and group keys to column storage. Shared by the batch engine
 /// and the row-at-a-time reference path so both execute the same plan.
 pub(crate) struct CompiledQuery<'a> {
     pub(crate) preds: Vec<Compiled<'a>>,
     pub(crate) inputs: Vec<AggInput<'a>>,
-    pub(crate) group_inputs: Vec<GroupInput<'a>>,
+    pub(crate) key: GroupKey<'a>,
     pub(crate) agg_names: Vec<String>,
     /// Rows of the compiling table: what a full scan covers.
     pub(crate) n_rows: usize,
@@ -556,11 +635,13 @@ impl<'a> CompiledQuery<'a> {
         let preds = compile_predicates(table, query)?;
         let inputs = agg_inputs(table, query)?;
         let mut group_inputs: Vec<GroupInput<'a>> = Vec::with_capacity(query.group_by.len());
+        let mut nulls = Vec::with_capacity(query.group_by.len());
         for g in &query.group_by {
             let idx = table
                 .schema()
                 .index_of(g)
                 .ok_or_else(|| ExecError::UnknownColumn(g.clone()))?;
+            nulls.push(null_mask(table.column(idx)));
             match table.column(idx).data() {
                 ColumnData::Int(xs) => group_inputs.push(GroupInput::Int(xs)),
                 ColumnData::Str { codes, dict } => {
@@ -574,10 +655,19 @@ impl<'a> CompiledQuery<'a> {
             }
         }
         let agg_names = query.aggregates.iter().map(|a| a.to_string()).collect();
+        let null_words = if nulls.iter().any(Option::is_some) {
+            group_inputs.len().div_ceil(64)
+        } else {
+            0
+        };
         Ok(CompiledQuery {
             preds,
             inputs,
-            group_inputs,
+            key: GroupKey {
+                inputs: group_inputs,
+                nulls,
+                null_words,
+            },
             agg_names,
             n_rows: table.num_rows(),
         })
@@ -788,17 +878,13 @@ pub(crate) fn materialize_grouped(
     stats: ExecStats,
 ) -> ResultSet {
     let mut keys: Vec<&Vec<i64>> = groups.keys().collect();
-    keys.sort_unstable();
+    keys.sort_unstable_by(|a, b| cq.key.cmp(a, b));
+    let n_keys = cq.key.inputs.len();
     let mut rows = Vec::with_capacity(keys.len());
     for key in keys {
         let accs = &groups[key];
-        let mut row: Vec<Value> = Vec::with_capacity(key.len() + accs.len());
-        for (part, g) in key.iter().zip(&cq.group_inputs) {
-            row.push(match g {
-                GroupInput::Int(_) => Value::Int(*part),
-                GroupInput::Code { dict, .. } => Value::Str(dict.resolve(*part as u32).to_owned()),
-            });
-        }
+        let mut row: Vec<Value> = Vec::with_capacity(n_keys + accs.len());
+        row.extend((0..n_keys).map(|i| cq.key.value(key, i)));
         for (acc, agg) in accs.iter().zip(&query.aggregates) {
             row.push(acc.finish(agg.func));
         }
@@ -878,9 +964,9 @@ impl<'a> Progress<'a> {
 enum GroupMode {
     /// No GROUP BY: one flat accumulator vector.
     Flat,
-    /// Single string group column with a small dictionary: accumulators
-    /// addressed by dictionary code directly — no hashing, no per-group
-    /// key allocation in the scan.
+    /// Single string group column with a small dictionary and no NULLs:
+    /// accumulators addressed by dictionary code directly — no hashing,
+    /// no per-group key allocation in the scan.
     Dense { dict_len: usize },
     /// General case: hashed composite keys (same layout as the reference
     /// path).
@@ -888,11 +974,13 @@ enum GroupMode {
 }
 
 fn group_mode(cq: &CompiledQuery<'_>) -> GroupMode {
-    match cq.group_inputs.as_slice() {
+    match cq.key.inputs.as_slice() {
         [] => GroupMode::Flat,
-        [GroupInput::Code { dict, .. }] if dict.len() <= DENSE_GROUPS => GroupMode::Dense {
-            dict_len: dict.len(),
-        },
+        [GroupInput::Code { dict, .. }] if cq.key.null_words == 0 && dict.len() <= DENSE_GROUPS => {
+            GroupMode::Dense {
+                dict_len: dict.len(),
+            }
+        }
         _ => GroupMode::Hash,
     }
 }
@@ -958,7 +1046,7 @@ fn accumulate_dense(
     sel: &Sel,
     charge: &SharedCharge<'_>,
 ) -> Result<(), ExecError> {
-    let GroupInput::Code { codes, .. } = &cq.group_inputs[0] else {
+    let GroupInput::Code { codes, .. } = &cq.key.inputs[0] else {
         unreachable!("dense grouping is only chosen for a single code column");
     };
     let n_accs = cq.inputs.len();
@@ -991,8 +1079,7 @@ fn accumulate_hash(
     let n_accs = cq.inputs.len();
     sel.try_for_each(|i| {
         let r = rows.row(i);
-        key_buf.clear();
-        key_buf.extend(cq.group_inputs.iter().map(|g| g.key(r)));
+        cq.key.fill(r, key_buf);
         let accs = match map.get_mut(key_buf.as_slice()) {
             Some(accs) => accs,
             None => {
@@ -1031,7 +1118,7 @@ fn run_morsel(
         },
         GroupMode::Hash => Partial::Hash(FxHashMap::default()),
     };
-    let mut key_buf: Vec<i64> = Vec::with_capacity(cq.group_inputs.len());
+    let mut key_buf: Vec<i64> = Vec::with_capacity(cq.key.len());
     let mut pos = m.start;
     while pos < m.end {
         if let Some(t) = opts.cancel {
@@ -1068,14 +1155,16 @@ fn run_morsel(
 /// Fold partials, in order, into one flat or hashed partial. A scan's
 /// per-morsel partials (in morsel order) and a gather's per-shard states
 /// (in shard order) go through this same merge, so float sums are
-/// deterministic and a sharded answer is the single-table one. No memory
-/// is charged here: every group was charged when it first appeared.
+/// deterministic for a given morsel size and shard count. Keys are
+/// brought to `cq`'s layout ([`GroupKey::pad`]): a shard without NULLs
+/// keys its groups without null words. No memory is charged here: every
+/// group was charged when it first appeared.
 fn fold(
-    n_accs: usize,
-    grouped: bool,
+    cq: &CompiledQuery<'_>,
     parts: impl IntoIterator<Item = Partial>,
 ) -> Result<Partial, ExecError> {
-    if !grouped {
+    let n_accs = cq.inputs.len();
+    if cq.key.is_empty() {
         let mut accs = vec![Acc::new(); n_accs];
         for p in parts {
             let Partial::Flat(pa) = p else {
@@ -1090,7 +1179,8 @@ fn fold(
         return Ok(Partial::Flat(accs));
     }
     let mut groups: FxHashMap<Vec<i64>, Vec<Acc>> = FxHashMap::default();
-    let mut merge = |key: Vec<i64>, pa: &[Acc]| {
+    let mut merge = |mut key: Vec<i64>, pa: &[Acc]| {
+        cq.key.pad(&mut key);
         let slot = groups
             .entry(key)
             .or_insert_with(|| vec![Acc::new(); n_accs]);
@@ -1196,7 +1286,7 @@ pub(crate) fn scan_partials(
             Err(e) => return Err(surface_error(e, &progress.stats)),
         }
     }
-    let state = fold(cq.inputs.len(), !cq.group_inputs.is_empty(), partials)?;
+    let state = fold(cq, partials)?;
     Ok(QueryPartials {
         state,
         stats: progress.stats,
@@ -1293,7 +1383,7 @@ pub fn combine_partials(
         stats.rows_matched += p.stats.rows_matched;
     }
     let states = parts.into_iter().map(|p| p.state);
-    let state = fold(cq.inputs.len(), !cq.group_inputs.is_empty(), states)?;
+    let state = fold(&cq, states)?;
     let charge = SharedCharge::new(opts.mem);
     finish(&cq, query, QueryPartials { state, stats }, &charge)
 }
@@ -1459,6 +1549,88 @@ mod tests {
                 assert_eq!(direct, combined, "{sql} shards={shards}");
             }
         }
+    }
+
+    /// NULL keys are their own group, after every value, on the scan, the
+    /// reference and a combine of shards with and without NULLs.
+    #[test]
+    fn null_group_keys_form_their_own_group() {
+        let schema = Schema::new([("g", ColumnType::Str), ("y", ColumnType::Int)]);
+        let mut b = Table::builder("t", schema);
+        for (g, y) in [
+            (None, None),
+            (Some("a"), Some(0)),
+            (None, None),
+            (Some("b"), Some(7)),
+            (None, Some(0)),
+        ] {
+            b.push_row([
+                g.map_or(Value::Null, Value::from),
+                y.map_or(Value::Null, Value::Int),
+            ]);
+        }
+        let t = b.build();
+        let count = |key: Value, n: i64| vec![key, Value::Int(n)];
+        let cases = [
+            (
+                "select count(*) from t group by g",
+                vec![
+                    count(Value::from("a"), 1),
+                    count(Value::from("b"), 1),
+                    count(Value::Null, 3),
+                ],
+            ),
+            (
+                "select count(*) from t group by y",
+                vec![
+                    count(Value::Int(0), 2),
+                    count(Value::Int(7), 1),
+                    count(Value::Null, 2),
+                ],
+            ),
+        ];
+        for (sql, want) in cases {
+            let q = parse(sql).unwrap();
+            let reference =
+                crate::exec::execute_reference(&t, &q, None, ExecOptions::default()).unwrap();
+            assert_eq!(reference.rows, want, "{sql}");
+            for morsel_rows in [1, 2, MORSEL_ROWS] {
+                let cfg = BatchConfig { morsel_rows };
+                let got = execute_batch(&t, &q, None, ExecOptions::default(), &cfg).unwrap();
+                assert_eq!(got, reference, "{sql} morsel_rows={morsel_rows}");
+            }
+            // Row 1 alone has no NULLs: its shard keys groups without null
+            // words, and the combine pads them.
+            for split in [vec![vec![1], vec![0, 2, 3, 4]], hash_split(5, 3)] {
+                let parts = split
+                    .iter()
+                    .map(|rows| {
+                        ScanRequest::new(ScanRows::All, ExecOptions::default())
+                            .partials(&t.project_rows(rows), &q)
+                            .unwrap()
+                    })
+                    .collect();
+                let combined = combine_partials(&t, &q, parts, ExecOptions::default()).unwrap();
+                assert_eq!(combined, reference, "{sql} split {split:?}");
+            }
+        }
+
+        // An all-NULL string column has an empty dictionary: one NULL group.
+        let schema = Schema::new([("s", ColumnType::Str)]);
+        let mut b = Table::builder("t", schema);
+        for _ in 0..3 {
+            b.push_row([Value::Null]);
+        }
+        let t = b.build();
+        let q = parse("select count(*) from t group by s").unwrap();
+        let rs = execute_batch(
+            &t,
+            &q,
+            None,
+            ExecOptions::default(),
+            &BatchConfig::default(),
+        );
+        assert_eq!(rs.unwrap().rows, vec![count(Value::Null, 3)]);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! [`crate::merge::execute_merged_with_opts`] are thin wrappers over it.
 //!
 //! A row-at-a-time reference implementation ([`execute_reference`]) is
-//! retained as the executable specification: the differential suite
-//! (`tests/batch_vs_row.rs`) holds the batch engine bit-identical to it.
+//! retained as the executable specification: the differential suites
+//! hold every execution path to it.
 
 use crate::ast::Query;
 use crate::batch::{
@@ -356,10 +356,14 @@ impl<'a> ScanRequest<'a> {
 }
 
 /// Row-at-a-time reference executor, retained as the differential oracle
-/// for the batch engine (`tests/batch_vs_row.rs`) and as the readable
-/// specification of execution semantics: same compiled plan, same
-/// materialization, same typed errors and metrics contracts as
-/// [`ScanRequest::run`] — only the scan loop differs.
+/// every execution path is checked against (the path registry of the
+/// `muve-testkit` crate) and as the readable specification of execution
+/// semantics: same compiled plan, same materialization, same typed errors
+/// and metrics contracts as [`ScanRequest::run`] — only the scan loop
+/// differs. It adds floats row by row, the batch engine morsel by morsel:
+/// their SUM and AVG are bit-identical when every partial sum is exact
+/// (integers, dyadic rationals such as the suites' multiples of 1/4) and
+/// otherwise agree to about 15 significant digits.
 pub fn execute_reference(
     table: &Table,
     query: &Query,
@@ -441,7 +445,7 @@ fn reference_scan(
 
     let mut mem = MemCharge::new(opts.mem);
 
-    if cq.group_inputs.is_empty() {
+    if cq.key.is_empty() {
         let mut accs = vec![Acc::new(); cq.inputs.len()];
         scan(&mut |row| {
             if cq.preds.iter().all(|p| p.matches(row)) {
@@ -469,13 +473,12 @@ fn reference_scan(
     // its state against the memory budget *before* it is inserted — the
     // governor caps the aggregation state itself, not just the result.
     let mut groups: FxHashMap<Vec<i64>, Vec<Acc>> = FxHashMap::default();
-    let mut key_buf: Vec<i64> = Vec::with_capacity(cq.group_inputs.len());
+    let mut key_buf: Vec<i64> = Vec::with_capacity(cq.key.len());
     let n_accs = cq.inputs.len();
     scan(&mut |row| {
         if cq.preds.iter().all(|p| p.matches(row)) {
             *matched += 1;
-            key_buf.clear();
-            key_buf.extend(cq.group_inputs.iter().map(|g| g.key(row)));
+            cq.key.fill(row, &mut key_buf);
             let accs = match groups.get_mut(key_buf.as_slice()) {
                 Some(accs) => accs,
                 None => {

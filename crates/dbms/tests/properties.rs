@@ -1,142 +1,57 @@
-//! Property-based tests of the execution engine: aggregate correctness
-//! against a naive reference, merge/separate equivalence, and sampling
-//! invariants, over randomly generated tables and queries.
+//! Property-based tests of the execution engine: the reference executor
+//! against the independent row model, merged against separate execution,
+//! sampling invariants, fingerprints, SQL round trips and adversarial
+//! selections, over the shared random tables and queries of
+//! `muve-testkit`.
 
 use muve_dbms::{
-    execute, execute_merged_with_opts, plan_merged, AggFunc, Aggregate, ColumnType, ExecOptions,
-    Predicate, Query, Schema, Table, Value,
+    execute, execute_reference, AggFunc, Aggregate, ExecOptions, Predicate, Query, Value,
 };
+use muve_testkit::{candidate_queries, row_model, seeded_table as table, selection};
+use muve_testkit::{Family, Registry, Scan};
 use proptest::prelude::*;
-
-#[derive(Debug, Clone)]
-struct RandomTable {
-    keys: Vec<u8>,
-    groups: Vec<u8>,
-    values: Vec<i32>,
-}
-
-impl RandomTable {
-    fn build(&self) -> Table {
-        let schema = Schema::new([
-            ("k", ColumnType::Str),
-            ("g", ColumnType::Str),
-            ("v", ColumnType::Int),
-        ]);
-        let mut b = Table::builder("t", schema);
-        for i in 0..self.keys.len() {
-            b.push_row([
-                Value::from(format!("k{}", self.keys[i])),
-                Value::from(format!("g{}", self.groups[i])),
-                Value::from(i64::from(self.values[i])),
-            ]);
-        }
-        b.build()
-    }
-}
-
-fn random_table() -> impl Strategy<Value = RandomTable> {
-    (1usize..60).prop_flat_map(|n| {
-        (
-            prop::collection::vec(0u8..5, n),
-            prop::collection::vec(0u8..3, n),
-            prop::collection::vec(-100i32..100, n),
-        )
-            .prop_map(|(keys, groups, values)| RandomTable {
-                keys,
-                groups,
-                values,
-            })
-    })
-}
-
-fn agg_query(func: AggFunc, key: u8) -> Query {
-    Query {
-        table: "t".into(),
-        aggregates: vec![Aggregate::over(func, "v")],
-        predicates: vec![Predicate::eq("k", format!("k{key}"))],
-        group_by: vec![],
-    }
-}
-
-/// Naive reference implementation.
-fn reference(rt: &RandomTable, func: AggFunc, key: u8) -> Option<f64> {
-    let vals: Vec<f64> = rt
-        .keys
-        .iter()
-        .zip(&rt.values)
-        .filter(|(k, _)| **k == key)
-        .map(|(_, v)| f64::from(*v))
-        .collect();
-    match func {
-        AggFunc::Count => Some(vals.len() as f64),
-        _ if vals.is_empty() => None,
-        AggFunc::Sum => Some(vals.iter().sum()),
-        AggFunc::Avg => Some(vals.iter().sum::<f64>() / vals.len() as f64),
-        AggFunc::Min => vals.iter().cloned().reduce(f64::min),
-        AggFunc::Max => vals.iter().cloned().reduce(f64::max),
-    }
-}
-
-fn funcs() -> impl Strategy<Value = AggFunc> {
-    prop::sample::select(vec![
-        AggFunc::Count,
-        AggFunc::Sum,
-        AggFunc::Avg,
-        AggFunc::Min,
-        AggFunc::Max,
-    ])
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// The reference executor equals the row model — NULL GROUP BY keys,
+    /// all five aggregates, selections — so a bug every path shares with
+    /// the reference (its grouping, its accumulators) still shows.
     #[test]
-    fn aggregates_match_reference(rt in random_table(), func in funcs(), key in 0u8..6) {
-        let table = rt.build();
-        let q = agg_query(func, key);
-        let got = execute(&table, &q).unwrap().scalar();
-        let expected = reference(&rt, func, key);
-        match (got, expected) {
-            (Some(g), Some(e)) => prop_assert!((g - e).abs() < 1e-9, "{} vs {}", g, e),
-            (g, e) => prop_assert_eq!(g, e),
+    fn aggregates_match_reference(seed in 0..u64::MAX) {
+        let (mut rng, t) = table(seed);
+        let ids = selection(&mut rng, t.num_rows(), false);
+        for q in candidate_queries(&mut rng, 4) {
+            let got = execute_reference(&t, &q, ids.as_deref(), ExecOptions::default());
+            prop_assert_eq!(got, Ok(row_model(&t, &q, ids.as_deref())), "{:?}", q);
         }
     }
 
+    /// Merged execution answers every member as the reference does, and
+    /// aborts as it does.
     #[test]
-    fn merged_equals_separate(rt in random_table(), func in funcs(), keys in prop::collection::vec(0u8..6, 1..8)) {
-        let table = rt.build();
-        let queries: Vec<Query> = keys.iter().map(|&k| agg_query(func, k)).collect();
-        let mut merged = vec![None; queries.len()];
-        for g in plan_merged(&queries) {
-            for (idx, v) in execute_merged_with_opts(&table, &g, ExecOptions::default()).unwrap().results {
-                merged[idx] = v;
-            }
-        }
-        for (i, q) in queries.iter().enumerate() {
-            let direct = execute(&table, q).unwrap().scalar();
-            // Counts of empty groups come back as 0 either way.
-            let direct = if q.aggregates[0].func == AggFunc::Count { direct.or(Some(0.0)) } else { direct };
-            match (merged[i], direct) {
-                (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9, "q{}: {} vs {}", i, a, b),
-                (a, b) => prop_assert_eq!(a, b, "query {}", i),
-            }
-        }
+    fn merged_equals_separate(seed in 0..u64::MAX, n in 1usize..8) {
+        let (mut rng, t) = table(seed);
+        let queries = candidate_queries(&mut rng, n);
+        let reg = Registry::new(&t, &[Family::Merged]);
+        reg.check_answers(&queries, &Scan::all());
+        reg.check_aborts(&queries, &Scan::all());
     }
 
     #[test]
-    fn group_by_partitions_count(rt in random_table()) {
-        let table = rt.build();
+    fn group_by_partitions_count(seed in 0..u64::MAX) {
+        let (_, t) = table(seed);
         let q = muve_dbms::parse("select count(*) from t group by g").unwrap();
-        let r = execute(&table, &q).unwrap();
+        let r = execute(&t, &q).unwrap();
         let total: f64 = r.rows.iter().map(|row| row[1].as_f64().unwrap()).sum();
-        prop_assert_eq!(total as usize, rt.keys.len());
+        prop_assert_eq!(total as usize, t.num_rows());
     }
 
     #[test]
-    fn sampling_never_exceeds_population(rt in random_table(), fraction in 0.0f64..1.0, seed in 0u64..100) {
-        let table = rt.build();
-        let rows = muve_dbms::bernoulli_rows(table.num_rows(), fraction, seed);
-        prop_assert!(rows.len() <= table.num_rows());
+    fn sampling_never_exceeds_population(seed in 0..u64::MAX, fraction in 0.0f64..1.0, sample_seed in 0u64..100) {
+        let (_, t) = table(seed);
+        let rows = muve_dbms::bernoulli_rows(t.num_rows(), fraction, sample_seed);
+        prop_assert!(rows.len() <= t.num_rows());
         // Strictly increasing row ids.
         for w in rows.windows(2) {
             prop_assert!(w[0] < w[1]);
@@ -170,13 +85,13 @@ proptest! {
     }
 
     #[test]
-    fn cost_estimates_monotone_in_selectivity(rt in random_table()) {
-        let table = rt.build();
+    fn cost_estimates_monotone_in_selectivity(seed in 0..u64::MAX) {
+        let (_, t) = table(seed);
         let params = muve_dbms::CostParams::default();
         let narrow = muve_dbms::parse("select count(*) from t where k = 'k0' and g = 'g0'").unwrap();
         let wide = muve_dbms::parse("select count(*) from t where k = 'k0'").unwrap();
-        let en = muve_dbms::estimate(&table, &narrow, &params);
-        let ew = muve_dbms::estimate(&table, &wide, &params);
+        let en = muve_dbms::estimate(&t, &narrow, &params);
+        let ew = muve_dbms::estimate(&t, &wide, &params);
         prop_assert!(en.est_rows <= ew.est_rows + 1e-9);
     }
 }
@@ -189,8 +104,12 @@ mod fingerprint_props {
     /// that semantically equivalent pairs (and always-false collapses onto
     /// absent dictionary literals) occur often.
     fn small_queries() -> impl Strategy<Value = Query> {
-        (funcs(), prop::collection::vec(0u8..8, 0..4), 0u8..2).prop_map(|(func, keys, grouped)| {
-            Query {
+        (
+            prop::sample::select(AggFunc::ALL.to_vec()),
+            prop::collection::vec(0u8..8, 0..4),
+            0u8..2,
+        )
+            .prop_map(|(func, keys, grouped)| Query {
                 table: "t".into(),
                 aggregates: vec![if func == AggFunc::Count {
                     Aggregate::count_star()
@@ -210,8 +129,7 @@ mod fingerprint_props {
                 } else {
                     vec![]
                 },
-            }
-        })
+            })
     }
 
     /// A semantics-preserving rewrite: reversed predicate order, a
@@ -256,8 +174,8 @@ mod fingerprint_props {
         /// `=` vs singleton `IN`, IN-set order/duplicates, identifier case
         /// — fingerprint identically, with and without table context.
         #[test]
-        fn equivalent_rewrites_share_fingerprint(rt in random_table(), q in small_queries()) {
-            let table = rt.build();
+        fn equivalent_rewrites_share_fingerprint(seed in 0..u64::MAX, q in small_queries()) {
+            let (_, table) = table(seed);
             let scrambled = scramble(&q);
             prop_assert_eq!(
                 query_fingerprint(&q, Some(&table)),
@@ -273,11 +191,11 @@ mod fingerprint_props {
         /// differently" check.
         #[test]
         fn equal_fingerprints_imply_equal_results(
-            rt in random_table(),
+            seed in 0..u64::MAX,
             a in small_queries(),
             b in small_queries(),
         ) {
-            let table = rt.build();
+            let (_, table) = table(seed);
             if query_fingerprint(&a, Some(&table)) == query_fingerprint(&b, Some(&table)) {
                 let ra = execute(&table, &a).unwrap();
                 let rb = execute(&table, &b).unwrap();
@@ -383,87 +301,20 @@ mod sql_roundtrip {
 
 mod selection_props {
     use super::*;
-    use muve_dbms::{
-        combine_partials, execute_batch, execute_reference, BatchConfig, ExecError, ExecOptions,
-        ScanRequest, ScanRows,
-    };
-
-    /// Adversarial row-id selections: mostly valid ids with occasional
-    /// out-of-range ones (including `u32::MAX`) spliced in anywhere.
-    fn ids(n_rows: usize) -> impl Strategy<Value = Vec<u32>> {
-        let n = n_rows as u32;
-        // Mostly-valid ids; the vendored prop_oneof is unweighted, so the
-        // valid range is repeated to keep all-valid selections common.
-        prop::collection::vec(
-            prop_oneof![
-                0..n.max(1),
-                0..n.max(1),
-                0..n.max(1),
-                n..n.saturating_add(50).max(1),
-                Just(u32::MAX),
-            ],
-            0..40,
-        )
-    }
-
-    /// The first id at or past `rows`, in slice order — the one every
-    /// entry point must report.
-    fn first_bad(ids: &[u32], rows: usize) -> Option<u32> {
-        ids.iter().copied().find(|&id| id as usize >= rows)
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Property: every execution entry point taking a `Rows::Ids`
-        /// selection either (a) rejects an out-of-range id with the same
-        /// typed `SelectionOutOfBounds` error naming the first offender,
-        /// or (b) agrees bit-for-bit with the reference executor. No
-        /// entry point may panic or silently skip bad ids.
+        /// Property: every path taking a row-id selection either rejects
+        /// an out-of-range id with the typed `SelectionOutOfBounds` naming
+        /// the first offender, as the reference does, or agrees with the
+        /// reference bit for bit. No path may panic or skip bad ids.
         #[test]
-        fn adversarial_selections_fail_closed(rt in random_table(), sel in (1usize..60).prop_flat_map(ids)) {
-            let table = rt.build();
-            let rows = table.num_rows();
-            let q = muve_dbms::parse("select count(*), sum(v) from t where k = 'k1' group by g").unwrap();
-
-            let reference = execute_reference(&table, &q, Some(&sel), ExecOptions::default());
-            let batch = execute_batch(
-                &table, &q, Some(&sel), ExecOptions::default(), &BatchConfig::default(),
-            );
-            let door = ScanRequest::new(ScanRows::Ids(&sel), ExecOptions::default());
-            let run = door.run(&table, &q);
-            let partials = door
-                .partials(&table, &q)
-                .and_then(|p| combine_partials(&table, &q, vec![p], ExecOptions::default()));
-
-            match first_bad(&sel, rows) {
-                Some(bad) => {
-                    for (label, got) in [
-                        ("reference", &reference),
-                        ("batch", &batch),
-                        ("door run", &run),
-                        ("door partials", &partials),
-                    ] {
-                        match got {
-                            Err(ExecError::SelectionOutOfBounds { id, rows: r }) => {
-                                prop_assert_eq!(*id, bad, "{}: wrong offender", label);
-                                prop_assert_eq!(*r, rows, "{}: wrong row count", label);
-                            }
-                            other => prop_assert!(false, "{}: expected SelectionOutOfBounds, got {:?}", label, other),
-                        }
-                    }
-                }
-                None => {
-                    let want = reference.unwrap();
-                    let batch = batch.unwrap();
-                    prop_assert_eq!(&want.columns, &batch.columns);
-                    prop_assert_eq!(&want.rows, &batch.rows);
-                    let run = run.unwrap();
-                    prop_assert_eq!(&want.rows, &run.rows);
-                    let combined = partials.unwrap();
-                    prop_assert_eq!(&want.rows, &combined.rows);
-                }
-            }
+        fn adversarial_selections_fail_closed(seed in 0..u64::MAX) {
+            let (mut rng, t) = table(seed);
+            let ids = selection(&mut rng, t.num_rows(), true).unwrap();
+            let queries = candidate_queries(&mut rng, 2);
+            Registry::new(&t, &[Family::Batch, Family::Door]).check_selection(&queries, &ids);
         }
     }
 }

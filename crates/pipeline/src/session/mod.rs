@@ -240,8 +240,8 @@ pub struct Session<'a> {
     mem_pool: Option<Arc<MemPool>>,
     /// Replicated shard backend; when attached, every query this session
     /// executes goes through scatter-gather instead of the single-table
-    /// path (bit-identical on full gathers, degrading to typed scaled
-    /// estimates when shards are lost).
+    /// path (the unsharded answer on full gathers, degrading to typed
+    /// scaled estimates when shards are lost).
     shards: Option<Arc<ShardSet>>,
 }
 
@@ -309,7 +309,7 @@ impl<'a> Session<'a> {
 
     /// Route execution through a replicated shard set instead of the
     /// single-table path. The set must have been built over this session's
-    /// table. Full gathers are bit-identical to unsharded execution; lost
+    /// table. Full gathers answer as unsharded execution does; lost
     /// shards degrade the run to coverage-scaled estimates (flagged
     /// `approximate`, with a degradation event) rather than failing it.
     pub fn with_shards(mut self, shards: Arc<ShardSet>) -> Session<'a> {

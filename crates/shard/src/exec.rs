@@ -5,9 +5,10 @@
 //! *scan half* of the batch engine ([`muve_dbms::ScanRequest::partials`]) on a
 //! replica worker and replies with un-materialized partial aggregates; the
 //! gather combines partials **in shard-index order** through
-//! [`muve_dbms::combine_partials`], which is the same morsel-order merge
-//! the single-table path uses — so a full gather is bit-identical to
-//! executing against the unsharded table, floats included.
+//! [`muve_dbms::combine_partials`], which is the same merge the
+//! single-table path applies to its morsels — so a full gather answers as
+//! the unsharded table does, bit for bit where float sums are exact (see
+//! the crate docs).
 //!
 //! Robustness, per shard:
 //!
@@ -399,8 +400,11 @@ struct GatherShard {
 impl ShardSet {
     /// Execute `query` across the shards, exactly when every shard
     /// answers, degrading to a typed scaled estimate when some don't (and
-    /// `allow_partial` permits). A full gather is bit-identical to a
-    /// [`muve_dbms::ScanRows::All`] request against the parent table.
+    /// `allow_partial` permits). A full gather answers as a
+    /// [`muve_dbms::ScanRows::All`] request against the parent table
+    /// does: bit-identical when every float sum is exact (integers,
+    /// dyadic rationals), within about 15 significant digits otherwise —
+    /// shards add their floats in a different order.
     ///
     /// The gather snapshots the topology once at entry (the epoch fence):
     /// a concurrent [`resize`](ShardSet::resize) or healer core-swap

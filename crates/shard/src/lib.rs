@@ -6,9 +6,12 @@
 //! queries by scatter-gather: each shard computes un-materialized partial
 //! aggregates ([`muve_dbms::ScanRequest::partials`]) and the gather combines
 //! them in shard-index order ([`muve_dbms::combine_partials`]) — the same
-//! morsel-order merge the single-table batch engine uses, so a full
-//! gather is **bit-identical** to unsharded execution, float sums
-//! included.
+//! merge the single-table batch engine applies to its morsels. A full
+//! gather returns the unsharded answer: the same groups, counts, MIN and
+//! MAX, and **bit-identical** SUM and AVG whenever every float addend is
+//! an integer or a dyadic rational whose partial sums are exact. Other
+//! floats are added in a different order per shard count, so SUM and AVG
+//! then agree only to about 15 significant digits.
 //!
 //! The point of the crate is what happens when replicas misbehave:
 //!
