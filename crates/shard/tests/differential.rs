@@ -3,10 +3,12 @@
 //!
 //! For random NULL-bearing tables and random queries, sharded execution
 //! at any `N×R` layout must answer exactly as the reference executor —
-//! bit-identical, since the tables' floats are dyadic — and must stay so
-//! with one replica of every shard fault-injected dead, every shard
-//! served by the survivors (no `Missing`, no error). Cancellation and a
-//! 1-byte memory cap abort every layout as they abort the reference.
+//! bit-identical, since the tables' floats are dyadic — with the routed
+//! run's stats, and stay so with one replica of every shard dead, every
+//! shard served by the survivors (no `Missing`, no error). A sampled
+//! gather must realize the unsharded sample's fraction to the bit.
+//! Cancellation and a 1-byte memory cap abort every layout as they abort
+//! the reference.
 
 use muve_testkit::{candidate_queries, random_table, Family, Registry, Scan};
 use rand::rngs::StdRng;
@@ -34,12 +36,7 @@ fn one_dead_replica_per_shard_changes_nothing() {
     let reg = Registry::new(&table, &[Family::Sharded]);
     reg.check_answers(&queries, &Scan::all());
     // The breaker must have isolated the dead replicas by now.
-    let down = reg
-        .paths
-        .iter()
-        .find(|p| p.name.ends_with(":down"))
-        .unwrap();
-    let snap = down.shards.as_ref().unwrap().stats().snapshot();
+    let snap = reg.down_stats();
     assert!(snap.replica_trips >= 4, "{snap:?}");
     assert_eq!(snap.shards_missing, 0, "{snap:?}");
     // Aborted gathers leave shards unanswered, so they come last.
@@ -51,7 +48,7 @@ fn sampled_sharded_matches_unsharded_sampling_bitwise() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let table = random_table(&mut rng, 4000);
     let queries = candidate_queries(&mut rng, 6);
-    let reg = Registry::new(&table, &[Family::Sharded]);
+    let reg = Registry::new(&table, &[Family::SampledShards]);
     for (i, q) in queries.iter().enumerate() {
         for fraction in [0.05, 0.25, 1.0] {
             let scan = Scan {

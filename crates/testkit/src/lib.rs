@@ -13,7 +13,7 @@ mod model;
 mod paths;
 
 pub use model::row_model;
-pub use paths::{Answer, Family, Path, Registry, Scan};
+pub use paths::{Family, Registry, Scan};
 
 use muve_dbms::Value;
 use muve_dbms::{AggFunc, Aggregate, CmpOp, ColumnType, PredOp, Predicate, Query, Schema, Table};

@@ -9,9 +9,9 @@ use muve_dbms::{
     Query, ResultSet, ScanRequest, ScanRows, Table, Value, MORSEL_ROWS,
 };
 use muve_obs::{CancelToken, MemBudget};
-use muve_shard::{ShardExecOptions, ShardFaultInjector, ShardSet, ShardSpec};
+use muve_shard::{ShardExecOptions, ShardFaultInjector, ShardSet, ShardSpec, ShardStatsSnapshot};
 use std::sync::Arc;
-use Answer::{Door, Exact, Routed, Sample, Scalar};
+use Answer::{Door, Exact, Gather, Routed, Sample, Scalar};
 
 /// The rows one check scans: a selection for the paths that take one,
 /// and the systematic sample the sampling paths draw.
@@ -49,7 +49,7 @@ impl<'a> Scan<'a> {
 
 /// Which reference answer a path must equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Answer {
+enum Answer {
     /// The reference over the same rows ([`Scan::ids`]), stats included.
     Exact,
     /// [`Exact`] over a selection; over every row as [`Routed`].
@@ -57,6 +57,9 @@ pub enum Answer {
     /// The reference over every row. An index may answer, which scans
     /// fewer rows, so of the stats only `rows_matched` counts.
     Routed,
+    /// [`Routed`], and the routed single-table run's whole result, stats
+    /// included: per-shard indexes make the routed run's index choice.
+    Gather,
     /// The reference over the sample's rows, scaled by its fraction.
     Sample,
     /// The first aggregate of the reference's first row: merged
@@ -68,13 +71,13 @@ type Answered = Result<ResultSet, ExecError>;
 type Run = dyn Fn(&Table, &[Query], &Scan<'_>, ExecOptions<'_>) -> Vec<Answered>;
 
 /// One execution path.
-pub struct Path {
+struct Path {
     /// Name in failure messages, e.g. `batch@64` or `sharded 3x2`.
-    pub name: String,
+    name: String,
     /// The reference answer it must equal.
-    pub answer: Answer,
+    answer: Answer,
     /// The shard set behind a sharded path.
-    pub shards: Option<Arc<ShardSet>>,
+    shards: Option<Arc<ShardSet>>,
     run: Box<Run>,
 }
 
@@ -96,22 +99,25 @@ impl Path {
         }
     }
 
-    /// A scatter-gather over `set`; a partial gather is a wrong answer.
+    /// A scatter-gather over `set`. A partial gather is a wrong answer,
+    /// and so is a sampled one realizing another fraction than [`Sample`].
     fn sharded(name: String, set: ShardSet, answer: Answer) -> Path {
         let set = Arc::new(set);
         let gather = Arc::clone(&set);
-        let mut path = Path::new(name, answer, move |_, q, s, o| {
+        let mut path = Path::new(name, answer, move |t, q, s, o| {
             let opts = ShardExecOptions {
                 cancel: o.cancel,
                 mem: o.mem,
                 ..ShardExecOptions::default()
             };
             let got = match answer {
-                Sample => gather
-                    .execute_sampled(q, s.fraction, s.seed, opts)
-                    .map(|(r, _)| r),
-                _ => gather.execute(q, opts),
-            }?;
+                Sample => {
+                    let (got, realized) = gather.execute_sampled(q, s.fraction, s.seed, opts)?;
+                    assert_eq!(realized.to_bits(), sample_rows(t, s).1.to_bits(), "{q:?}");
+                    got
+                }
+                _ => gather.execute(q, opts)?,
+            };
             if got.report.is_partial() {
                 return Err(ExecError::Unavailable(format!("partial: {:?}", got.report)));
             }
@@ -119,17 +125,6 @@ impl Path {
         });
         path.shards = Some(set);
         path
-    }
-
-    /// Answer `queries` on `table` under `opts`, one result per query.
-    pub fn run(
-        &self,
-        table: &Table,
-        queries: &[Query],
-        scan: &Scan<'_>,
-        opts: ExecOptions<'_>,
-    ) -> Vec<Answered> {
-        (self.run)(table, queries, scan, opts)
     }
 
     /// Whether it scans [`Scan::ids`]; the others scan every row.
@@ -142,10 +137,16 @@ impl Path {
         if self.answer != Sample {
             return execute_reference(t, q, s.ids.filter(|_| self.takes_selection()), o);
         }
-        let rows = systematic_rows(t.num_rows(), s.fraction, s.seed);
-        let realized = (rows.len() as f64 / t.num_rows() as f64).max(f64::MIN_POSITIVE);
+        let (rows, realized) = sample_rows(t, s);
         execute_reference(t, q, Some(&rows), o).map(|r| scale_result(r, q, realized))
     }
+}
+
+/// The systematic sample `s` draws from `t`, and its realized fraction.
+fn sample_rows(t: &Table, s: &Scan<'_>) -> (Vec<u32>, f64) {
+    let rows = systematic_rows(t.num_rows(), s.fraction, s.seed);
+    let realized = (rows.len() as f64 / t.num_rows() as f64).max(f64::MIN_POSITIVE);
+    (rows, realized)
 }
 
 /// Groups of registry entries, so a suite builds only the paths it checks.
@@ -162,11 +163,15 @@ pub enum Family {
     /// `plan_merged` over the whole query list, each group through
     /// `execute_merged_with_opts`.
     Merged,
-    /// Scatter-gather over N×R shards, N in 1..=4 and R in 1..=2; over
-    /// 4×2 with replica 0 of every shard down (`*.0:down`); and sampled
-    /// over 1, 3 and 4 shards.
+    /// Scatter-gather over N×R shards, N in 1..=4 and R in 1..=2, and
+    /// over 4×2 with replica 0 of every shard down (`*.0:down`).
     Sharded,
+    /// Sampled scatter-gather over 1, 3 and 4 shards.
+    SampledShards,
 }
+
+/// The name of the `*.0:down` layout's path.
+const DOWN: &str = "sharded 4x2 *.0:down";
 
 /// Morsel sizes of the local paths: production, many tiny morsels at
 /// aligned and unaligned boundaries, and one morsel for the whole scan.
@@ -205,8 +210,7 @@ fn local(family: Family, m: usize) -> Vec<Path> {
 /// then checks it. Dropping the registry drops the indexes it built.
 pub struct Registry {
     table: Arc<Table>,
-    /// The registered paths.
-    pub paths: Vec<Path>,
+    paths: Vec<Path>,
 }
 
 impl Registry {
@@ -223,18 +227,18 @@ impl Registry {
             match family {
                 Family::Sharded => {
                     for (n, r) in (1..=4).flat_map(|n| [(n, 1), (n, 2)]) {
-                        sharded(format!("sharded {n}x{r}"), (n, r), "", Routed);
+                        sharded(format!("sharded {n}x{r}"), (n, r), "", Gather);
                     }
-                    sharded("sharded 4x2 *.0:down".into(), (4, 2), "*.0:down", Routed);
+                    sharded(DOWN.into(), (4, 2), "*.0:down", Gather);
+                }
+                Family::SampledShards => {
                     for n in [1, 3, 4] {
                         sharded(format!("sharded sampled {n}x1"), (n, 1), "", Sample);
                     }
                 }
-                Family::Routed => {
-                    paths.push(Path::new("routed".into(), Routed, |t, q, _, o| {
-                        ScanRequest::new(ScanRows::All, o).run(t, q)
-                    }));
-                }
+                Family::Routed => paths.push(Path::new("routed".into(), Routed, |t, q, _, o| {
+                    ScanRequest::new(ScanRows::All, o).run(t, q)
+                })),
                 Family::Merged => {
                     let (name, shards, run) = ("merged".into(), None, Box::new(run_merged));
                     paths.push(Path {
@@ -249,15 +253,13 @@ impl Registry {
                 }
             }
         }
-        Registry {
-            table: Arc::clone(table),
-            paths,
-        }
+        let table = Arc::clone(table);
+        Registry { table, paths }
     }
 
     /// Every path answers every query as the reference does: the same
-    /// columns, rows and `rows_matched` — the whole result, stats
-    /// included, where the path scans the same rows — or the same error.
+    /// columns, rows and `rows_matched` — the whole result where the path
+    /// scans the same rows (a gather: as the routed run) — or the same error.
     pub fn check_answers(&self, queries: &[Query], scan: &Scan<'_>) {
         self.check(queries, scan, ExecOptions::default(), "");
     }
@@ -311,13 +313,25 @@ impl Registry {
         );
     }
 
+    /// Stats of the `*.0:down` layout's shard set ([`Family::Sharded`]).
+    pub fn down_stats(&self) -> ShardStatsSnapshot {
+        let down = self.paths.iter().find(|p| p.name == DOWN);
+        let set = down.expect("Family::Sharded").shards.as_ref().unwrap();
+        set.stats().snapshot()
+    }
+
     fn check(&self, queries: &[Query], scan: &Scan<'_>, opts: ExecOptions<'_>, what: &str) {
         let t = &*self.table;
         for p in &self.paths {
-            for (q, got) in queries.iter().zip(p.run(t, queries, scan, opts)) {
+            for (q, got) in queries.iter().zip((p.run)(t, queries, scan, opts)) {
                 let want = p.reference(t, q, scan, opts);
                 let ctx = format!("{what}{}: {q:?}", p.name);
-                let stats = p.answer != Routed && (p.answer != Door || scan.ids.is_some());
+                if p.answer == Gather {
+                    let routed = ScanRequest::new(ScanRows::All, opts).run(t, q);
+                    assert_eq!(got, routed, "{ctx} (routed run)");
+                }
+                let stats = !matches!(p.answer, Routed | Gather)
+                    && (p.answer != Door || scan.ids.is_some());
                 match (got, want) {
                     (Ok(got), Ok(want)) if p.answer == Scalar => {
                         let first = want.rows.first().and_then(|r| r[q.group_by.len()].as_f64());

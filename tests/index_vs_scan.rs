@@ -14,7 +14,7 @@ use muve::dbms::{
 use muve::obs::metrics;
 use muve::pipeline::SessionCaches;
 use muve::shard::{ShardExecOptions, ShardSet, ShardSpec};
-use muve_testkit::{candidate_queries, random_table, Answer, Family, Registry, Scan};
+use muve_testkit::{candidate_queries, random_table, Family, Registry, Scan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,18 +74,10 @@ fn sharded_with_index_is_bit_identical_to_routed_single_table() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let table = random_table(&mut rng, 3_000);
     let queries = candidate_queries(&mut rng, 8);
+    // Every gather equals the routed run, `rows_scanned` included: per-shard
+    // indexes over the parent's dictionaries make the same index choice.
     let reg = Registry::new(&table, &[Family::Routed, Family::Sharded]);
     reg.check_answers(&queries, &Scan::all());
-    // Full equality with the routed path, stats included: per-shard
-    // indexes over the shared parent dictionary make the same access-path
-    // decision, so even `rows_scanned` must agree in sum.
-    let opts = ExecOptions::default();
-    let routed = reg.paths[0].run(&table, &queries, &Scan::all(), opts);
-    let sharded = reg.paths.iter().filter(|p| p.shards.is_some());
-    for p in sharded.filter(|p| p.answer == Answer::Routed) {
-        let got = p.run(&table, &queries, &Scan::all(), opts);
-        assert_eq!(got, routed, "{}", p.name);
-    }
 }
 
 #[test]
