@@ -15,7 +15,7 @@
 use super::common::{dataset_table, fmt, ResultTable};
 use muve_data::Dataset;
 use muve_dbms::{parse, Query};
-use muve_shard::{HealConfig, ShardExecOptions, ShardSet, ShardSpec};
+use muve_shard::{ShardExecOptions, ShardSet, ShardSpec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,14 +27,7 @@ const QUERIES: &[&str] = &[
 
 fn healing_spec(shards: usize) -> ShardSpec {
     ShardSpec {
-        heal: HealConfig {
-            enabled: true,
-            poll: Duration::from_millis(2),
-            suspect_after: Duration::from_secs(30),
-            probe_timeout: Duration::from_secs(5),
-            retry_backoff: Duration::from_millis(20),
-            budget_per_tick: 2,
-        },
+        heal: true,
         ..ShardSpec::new(shards, 2)
     }
 }

@@ -492,6 +492,8 @@ impl Acc {
 /// Numeric input of one aggregate (or row-count for `count(*)`).
 pub(crate) enum AggInput<'a> {
     Star,
+    /// `count(col)` over a string column with NULLs: one per non-NULL row.
+    NotNull(&'a [bool]),
     Int {
         col: &'a [i64],
         nulls: Option<&'a [bool]>,
@@ -507,6 +509,7 @@ impl AggInput<'_> {
     pub(crate) fn value(&self, row: usize) -> Option<f64> {
         match self {
             AggInput::Star => Some(1.0),
+            AggInput::NotNull(nulls) => (!nulls[row]).then_some(1.0),
             AggInput::Int { col, nulls } => (!is_null(nulls, row)).then(|| col[row] as f64),
             AggInput::Float { col, nulls } => (!is_null(nulls, row)).then(|| col[row]),
         }
@@ -836,10 +839,10 @@ fn agg_inputs<'a>(table: &'a Table, query: &Query) -> Result<Vec<AggInput<'a>>, 
                 match col.data() {
                     ColumnData::Int(xs) => Ok(AggInput::Int { col: xs, nulls }),
                     ColumnData::Float(xs) => Ok(AggInput::Float { col: xs, nulls }),
+                    // count(col) over strings counts non-NULLs: every row
+                    // when the column has none.
                     ColumnData::Str { .. } if agg.func == AggFunc::Count => {
-                        // count(col) over strings counts non-NULLs; model as Star
-                        // (string columns have no NULLs after filtering here).
-                        Ok(AggInput::Star)
+                        Ok(nulls.map_or(AggInput::Star, AggInput::NotNull))
                     }
                     ColumnData::Str { .. } => Err(ExecError::TypeError(format!(
                         "{}({name}) over a string column",
@@ -1005,6 +1008,11 @@ fn accumulate_flat(
     for (acc, input) in accs.iter_mut().zip(inputs) {
         match input {
             AggInput::Star => acc.feed_ones(matched),
+            AggInput::NotNull(nulls) => sel.for_each(|i| {
+                if !nulls[rows.row(i)] {
+                    acc.feed(1.0);
+                }
+            }),
             AggInput::Int { col, nulls } => match (rows, nulls) {
                 (Rows::Dense { start, len }, None) if full => {
                     for v in &col[*start..*start + *len] {

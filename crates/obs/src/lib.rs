@@ -23,6 +23,8 @@
 //!   generic [`violations`] check.
 //! - [`FaultClause`] — the `<target>:<kind>[=<arg>][@p=<0..=1>]` clause
 //!   grammar and typed [`FaultSpecError`] both fault injectors parse with.
+//! - [`QuietPanics`] — a thread-scoped guard that silences the panic
+//!   printout for injected panics, used by both fault injectors' callers.
 //!
 //! The crate is dependency-light by design (only the vendored
 //! `serde_json`), so every other crate in the workspace can record into it
@@ -35,6 +37,7 @@ mod cancel;
 mod fault;
 mod ledger;
 mod metrics;
+mod quiet;
 mod sync;
 mod trace;
 
@@ -45,5 +48,6 @@ pub use ledger::{violations, Identity, LedgerCounter};
 pub use metrics::{
     metrics, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
+pub use quiet::QuietPanics;
 pub use sync::{lock_recover, poisoned_locks};
 pub use trace::{SessionTrace, SpanStatus, StageSpan, TraceError};

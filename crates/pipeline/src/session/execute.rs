@@ -231,7 +231,7 @@ impl Session<'_> {
 
     /// Execute one query at one fidelity (`None` = exact, `Some(f)` = the
     /// systematic `f` sample) through whichever backend is attached: the
-    /// shard set (scatter-gather with failover/hedging, bounded by
+    /// shard set (scatter-gather with failover, bounded by
     /// `gather_budget`, degrading to a coverage-scaled estimate on lost
     /// shards) or the single table. Same row ids, same realized fraction,
     /// same scaling either way. Returns the result plus the number of

@@ -44,12 +44,11 @@ use muve_core::{
 };
 use muve_dbms::{parse, predicate_order_fingerprint, query_fingerprint, Query, Table};
 use muve_nlq::{translate, CandidateGenerator, CandidateQuery};
-use muve_obs::{CancelToken, MemBudget, MemPool, SessionTrace};
+use muve_obs::{CancelToken, MemBudget, MemPool, QuietPanics, SessionTrace};
 use muve_shard::ShardSet;
 use record::Run;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Configuration of one session.
@@ -158,38 +157,6 @@ impl SessionOutcome {
     /// Whether the session degraded below its configured rung.
     pub fn degraded(&self) -> bool {
         self.trace.degraded()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Panic-output suppression: injected panics are expected control flow here,
-// so while a session with planted panics runs, the default "thread panicked
-// at …" printout is silenced. The hook is installed once and consults a
-// depth counter, so sessions on different threads compose.
-
-static QUIET_DEPTH: AtomicUsize = AtomicUsize::new(0);
-static QUIET_INSTALL: Once = Once::new();
-
-pub(crate) struct QuietPanics;
-
-impl QuietPanics {
-    pub(crate) fn engage() -> QuietPanics {
-        QUIET_INSTALL.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if QUIET_DEPTH.load(Ordering::SeqCst) == 0 {
-                    prev(info);
-                }
-            }));
-        });
-        QUIET_DEPTH.fetch_add(1, Ordering::SeqCst);
-        QuietPanics
-    }
-}
-
-impl Drop for QuietPanics {
-    fn drop(&mut self) {
-        QUIET_DEPTH.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -375,6 +342,8 @@ impl<'a> Session<'a> {
     /// [`DeadlineBudget::mark_admitted`]. The serving layer also uses this
     /// to re-run a transcript on retry under the same ticking budget.
     pub fn run_with_budget(&self, transcript: &str, budget: DeadlineBudget) -> SessionOutcome {
+        // Planted panics are expected control flow: silence their printout
+        // on this thread, where every stage runs.
         let _quiet = self.injector.any_panic().then(QuietPanics::engage);
         let mem = (self.config.mem_cap_bytes > 0 || self.mem_pool.is_some()).then(|| {
             let cap = match self.config.mem_cap_bytes {

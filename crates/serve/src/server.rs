@@ -87,7 +87,7 @@ pub struct ServerConfig {
     pub lane_weights: Vec<(String, u32)>,
     /// Sharded execution backend. When set, every worker session runs
     /// aggregates by scatter-gather over this [`muve_shard::ShardSet`]
-    /// (replica failover, hedging, self-healing and live resizes
+    /// (replica failover, self-healing and live resizes
     /// included) instead of scanning `table` directly; the caches, if
     /// any, are stamped with the set's combined shard epoch. The set
     /// must be built over the same table the server serves.

@@ -2,41 +2,18 @@
 //! kill/revive/slow/partition/resize events, driven by a **logical step
 //! counter** instead of the wall clock.
 //!
-//! A [`ChaosScript`] is a list of `(step, action)` pairs; the driving
-//! test (or benchmark) calls [`ChaosOrchestrator::step`] once per unit
-//! of its own work — per query, per burst, per request batch — and the
-//! orchestrator applies exactly the events whose step has come due. No
+//! A [`ChaosScript`] is a list of `(step, action)` events, built in code
+//! ([`ChaosScript::new`]) or generated from a seed
+//! ([`ChaosScript::seeded`]). The driving test (or benchmark) calls
+//! [`ChaosOrchestrator::step`] once per unit of its own work — per query,
+//! per burst, per request batch — and the orchestrator applies exactly the events whose step has come due. No
 //! timers, no sleeps: the same script against the same seed produces the
 //! same applied-event log on every machine and every run, which is what
 //! lets the healing chaos suite assert replay identity in CI.
 //!
-//! ## Event-script format
-//!
-//! One event per line (or `;`-separated), `#` starts a comment:
-//!
-//! ```text
-//! @<step> kill <shard>.<replica>
-//! @<step> revive <shard>.<replica>
-//! @<step> slow <shard>.<replica> <millis>ms
-//! @<step> unslow <shard>.<replica>
-//! @<step> partition <shard>        # kill every replica of the shard
-//! @<step> resize <shards>x<replicas>
-//! ```
-//!
-//! Example:
-//!
-//! ```text
-//! @3  kill 0.1        # take a replica out; the healer brings it back
-//! @10 slow 1.0 25ms   # make a replica a straggler (hedging territory)
-//! @15 resize 8x2      # live re-partition under load
-//! @20 unslow 1.0
-//! @25 resize 4x2      # and back — epochs restore bit-identically
-//! ```
-//!
-//! Scripts can be written by hand ([`ChaosScript::parse`]) or generated
-//! from a seed ([`ChaosScript::seeded`]). Applying an event records a
-//! canonical log line; two runs of the same script are expected to yield
-//! byte-identical logs.
+//! Applying an event records a canonical log line (`@<step> <action>`,
+//! e.g. `@3 kill 0.1`, `@15 resize 8x2`); two runs of the same script
+//! are expected to yield byte-identical logs.
 
 use crate::fault::FaultKind;
 use crate::set::ShardSet;
@@ -125,21 +102,6 @@ impl fmt::Display for ChaosEvent {
     }
 }
 
-/// A malformed chaos script line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosScriptError {
-    /// What was wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ChaosScriptError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad chaos script: {}", self.message)
-    }
-}
-
-impl std::error::Error for ChaosScriptError {}
-
 /// A step-ordered list of [`ChaosEvent`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosScript {
@@ -162,19 +124,6 @@ impl ChaosScript {
     /// Steps after which nothing more fires.
     pub fn last_step(&self) -> u64 {
         self.events.last().map_or(0, |e| e.at_step)
-    }
-
-    /// Parse the event-script format (see the module docs).
-    pub fn parse(text: &str) -> Result<ChaosScript, ChaosScriptError> {
-        let mut events = Vec::new();
-        for raw in text.lines().flat_map(|l| l.split(';')) {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            events.push(parse_event(line)?);
-        }
-        Ok(ChaosScript::new(events))
     }
 
     /// Generate a seeded random script: every `period` steps one replica
@@ -240,98 +189,6 @@ impl ChaosScript {
         });
         ChaosScript::new(events)
     }
-}
-
-impl fmt::Display for ChaosScript {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for e in &self.events {
-            writeln!(f, "{e}")?;
-        }
-        Ok(())
-    }
-}
-
-fn parse_event(line: &str) -> Result<ChaosEvent, ChaosScriptError> {
-    let err = |msg: String| ChaosScriptError { message: msg };
-    let mut parts = line.split_whitespace();
-    let step = parts
-        .next()
-        .and_then(|t| t.strip_prefix('@'))
-        .and_then(|t| t.parse::<u64>().ok())
-        .ok_or_else(|| err(format!("expected @<step> in {line:?}")))?;
-    let verb = parts
-        .next()
-        .ok_or_else(|| err(format!("missing action in {line:?}")))?;
-    let coord = |tok: Option<&str>| -> Result<(usize, usize), ChaosScriptError> {
-        let tok = tok.ok_or_else(|| err(format!("missing <shard>.<replica> in {line:?}")))?;
-        let (s, r) = tok
-            .split_once('.')
-            .ok_or_else(|| err(format!("bad coordinates {tok:?} in {line:?}")))?;
-        Ok((
-            s.parse()
-                .map_err(|_| err(format!("bad shard index in {line:?}")))?,
-            r.parse()
-                .map_err(|_| err(format!("bad replica index in {line:?}")))?,
-        ))
-    };
-    let action = match verb {
-        "kill" => {
-            let (shard, replica) = coord(parts.next())?;
-            ChaosAction::Kill { shard, replica }
-        }
-        "revive" => {
-            let (shard, replica) = coord(parts.next())?;
-            ChaosAction::Revive { shard, replica }
-        }
-        "slow" => {
-            let (shard, replica) = coord(parts.next())?;
-            let millis = parts
-                .next()
-                .and_then(|t| t.strip_suffix("ms"))
-                .and_then(|t| t.parse::<u64>().ok())
-                .ok_or_else(|| err(format!("expected <millis>ms in {line:?}")))?;
-            ChaosAction::Slow {
-                shard,
-                replica,
-                millis,
-            }
-        }
-        "unslow" => {
-            let (shard, replica) = coord(parts.next())?;
-            ChaosAction::Unslow { shard, replica }
-        }
-        "partition" => {
-            let shard = parts
-                .next()
-                .and_then(|t| t.parse::<usize>().ok())
-                .ok_or_else(|| err(format!("expected <shard> in {line:?}")))?;
-            ChaosAction::Partition { shard }
-        }
-        "resize" => {
-            let tok = parts
-                .next()
-                .ok_or_else(|| err(format!("expected <N>x<R> in {line:?}")))?;
-            let (n, r) = tok
-                .split_once('x')
-                .ok_or_else(|| err(format!("bad layout {tok:?} in {line:?}")))?;
-            ChaosAction::Resize {
-                shards: n
-                    .parse()
-                    .map_err(|_| err(format!("bad shard count in {line:?}")))?,
-                replicas: r
-                    .parse()
-                    .map_err(|_| err(format!("bad replica count in {line:?}")))?,
-            }
-        }
-        other => return Err(err(format!("unknown action {other:?} in {line:?}"))),
-    };
-    if parts.next().is_some() {
-        return Err(err(format!("trailing tokens in {line:?}")));
-    }
-    Ok(ChaosEvent {
-        at_step: step,
-        action,
-    })
 }
 
 /// Drives a [`ChaosScript`] against a [`ShardSet`], one logical step at
@@ -470,33 +327,9 @@ mod tests {
         Arc::new(b.build())
     }
 
-    #[test]
-    fn parse_roundtrips_through_display() {
-        let text = "\
-            @3 kill 0.1\n\
-            @5 slow 1.0 25ms  # straggler\n\
-            @7 partition 2\n\
-            @9 resize 8x2; @11 unslow 1.0\n\
-            @12 revive 0.1\n";
-        let script = ChaosScript::parse(text).unwrap();
-        assert_eq!(script.events().len(), 6);
-        assert_eq!(script.last_step(), 12);
-        let reparsed = ChaosScript::parse(&script.to_string()).unwrap();
-        assert_eq!(script, reparsed, "display output reparses identically");
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        for bad in [
-            "kill 0.1",       // missing @step
-            "@3 explode 0.1", // unknown verb
-            "@3 kill 01",     // bad coordinates
-            "@3 slow 0.1 25", // missing ms suffix
-            "@3 resize 8",    // bad layout
-            "@3 kill 0.1 trailing",
-        ] {
-            assert!(ChaosScript::parse(bad).is_err(), "{bad}");
-        }
+    fn kill(at_step: u64, shard: usize, replica: usize) -> ChaosEvent {
+        let action = ChaosAction::Kill { shard, replica };
+        ChaosEvent { at_step, action }
     }
 
     #[test]
@@ -521,7 +354,18 @@ mod tests {
 
     #[test]
     fn orchestrator_applies_events_at_their_step_and_logs() {
-        let script = ChaosScript::parse("@1 kill 0.0\n@2 resize 3x1\n@2 kill 2.0").unwrap();
+        let resize = ChaosAction::Resize {
+            shards: 3,
+            replicas: 1,
+        };
+        let script = ChaosScript::new(vec![
+            kill(1, 0, 0),
+            ChaosEvent {
+                at_step: 2,
+                action: resize,
+            },
+            kill(2, 2, 0),
+        ]);
         let set = crate::ShardSet::build(table(500), ShardSpec::new(2, 1));
         let mut orch = ChaosOrchestrator::new(script);
         assert!(orch.step(&set).is_empty(), "nothing due at step 0");
@@ -544,7 +388,7 @@ mod tests {
 
     #[test]
     fn out_of_range_events_are_skipped_deterministically() {
-        let script = ChaosScript::parse("@0 kill 5.0").unwrap();
+        let script = ChaosScript::new(vec![kill(0, 5, 0)]);
         let set = crate::ShardSet::build(table(100), ShardSpec::new(2, 1));
         let mut orch = ChaosOrchestrator::new(script);
         let applied = orch.step(&set);

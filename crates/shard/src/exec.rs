@@ -1,5 +1,5 @@
-//! The scatter-gather executor: replica workers, hedged sub-queries,
-//! failover, and typed partial-result degradation.
+//! The scatter-gather executor: replica workers, failover, and typed
+//! partial-result degradation.
 //!
 //! A query scatters into one sub-query per shard. Each sub-query runs the
 //! *scan half* of the batch engine ([`muve_dbms::ScanRequest::partials`]) on a
@@ -14,11 +14,12 @@
 //!
 //! - **Failover** — a typed sub-query failure re-dispatches to an untried
 //!   replica; the per-replica breaker ([`muve_obs::Breaker`]) steers routing away
-//!   from replicas that keep failing.
-//! - **Hedging** — a sub-query still unanswered after the rolling-p99
-//!   hedge delay is re-issued to a second replica; first answer wins, the
-//!   loser's token is cancelled. Losers still run to their next
-//!   cancellation point and still record their reply stats — abandonment
+//!   from replicas that keep failing. A shard has one copy in flight at a
+//!   time: replicas are threads over one shared table, so a second copy
+//!   of a slow sub-query would only queue behind the same scan.
+//! - **Abandonment** — a copy the gather stops waiting for (deadline,
+//!   caller cancel) has its token cancelled. It still runs to its next
+//!   cancellation point and still records its reply stats — abandonment
 //!   never loses bookkeeping — but a cancelled copy records nothing in the
 //!   replica's breaker (a cancelled probe only hands its probe slot back).
 //! - **Degradation** — when every replica of a shard is out (or the
@@ -28,7 +29,6 @@
 //!   same arithmetic the sampling ladder uses.
 
 use crate::fault::{FaultKind, ShardFaultInjector};
-use crate::hedge::HedgeTracker;
 use crate::set::{ReplicaCore, ShardSet, Topology};
 use crate::stats::ShardStats;
 use muve_dbms::Table;
@@ -36,11 +36,10 @@ use muve_dbms::{
     combine_partials, scale_result, systematic_rows, validate_query, ExecError, ExecOptions, Query,
     QueryPartials, ResultSet, ScanRequest, ScanRows,
 };
-use muve_obs::{Breaker, CancelToken, MemBudget};
-use std::cell::Cell;
+use muve_obs::{Breaker, CancelToken, MemBudget, QuietPanics};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Once};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// How long an injected stall holds a sub-query when no cancellation
@@ -69,10 +68,8 @@ pub enum MissingCause {
 pub enum ShardOutcome {
     /// The shard's partials arrived.
     Served {
-        /// Replica that answered first.
+        /// Replica that answered.
         replica: usize,
-        /// Whether the winning answer was the hedge copy.
-        hedged: bool,
     },
     /// The shard is absent from the combined result.
     Missing {
@@ -189,7 +186,6 @@ pub(crate) struct Job {
     pub(crate) query: Arc<Query>,
     pub(crate) selection: Option<Arc<Vec<u32>>>,
     pub(crate) cancel: CancelToken,
-    pub(crate) hedge: bool,
     /// Holds the replica breaker's single probe slot.
     pub(crate) probe: bool,
     pub(crate) reply_tx: mpsc::Sender<Reply>,
@@ -200,17 +196,16 @@ pub(crate) struct Job {
 pub(crate) struct Reply {
     pub(crate) shard: usize,
     pub(crate) replica: usize,
-    pub(crate) hedge: bool,
     pub(crate) result: Result<QueryPartials, ExecError>,
 }
 
 /// Replica worker loop: drain jobs until the set drops the queue. The
-/// worker records health, hedge-latency, and reply counters *itself*,
-/// before sending the reply — so sub-queries the gather abandoned still
-/// land in the books and flow conservation holds under any interleaving.
-/// A cancelled sub-query (hedge loser, gather deadline, caller cancel)
-/// says nothing about the replica, so it records nothing in the breaker;
-/// a cancelled probe only hands its probe slot back.
+/// worker records health and reply counters *itself*, before sending the
+/// reply — so sub-queries the gather abandoned still land in the books
+/// and flow conservation holds under any interleaving. A cancelled
+/// sub-query (gather deadline, caller cancel) says nothing about the
+/// replica, so it records nothing in the breaker; a cancelled probe only
+/// hands its probe slot back.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn worker_main(
     shard: usize,
@@ -219,7 +214,6 @@ pub(crate) fn worker_main(
     dead: Arc<AtomicBool>,
     health: Arc<Breaker>,
     stats: Arc<ShardStats>,
-    hedge: Arc<HedgeTracker>,
     injector: Arc<ShardFaultInjector>,
     rx: mpsc::Receiver<Job>,
 ) {
@@ -234,18 +228,16 @@ pub(crate) fn worker_main(
             health.release_probe();
         }
         if ok {
-            hedge.record(elapsed);
             stats.replies_ok.incr();
         } else {
             stats.replies_err.incr();
         }
         stats.subquery_us.record_duration(elapsed);
-        // The gather may be long gone (hedge loser, straggler): a closed
-        // reply channel is fine, the books above are already settled.
+        // The gather may be long gone (a straggler past its deadline): a
+        // closed reply channel is fine, the books above are already settled.
         let _ = job.reply_tx.send(Reply {
             shard,
             replica,
-            hedge: job.hedge,
             result,
         });
     }
@@ -332,33 +324,12 @@ fn run_job(
     }
 }
 
-thread_local! {
-    /// Armed while an *injected* panic is in flight on this thread.
-    static PANIC_QUIET: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Install (once, process-wide) a panic hook that stays silent for panics
-/// this module armed and chains to the previous hook for everything else.
-fn install_quiet_hook() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if !PANIC_QUIET.with(Cell::get) {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Catch a panic from `f` with the default printer suppressed, mapping it
-/// to a typed unavailability error.
+/// Catch a panic from `f` with the panic printer silenced on this thread,
+/// mapping it to a typed unavailability error.
 fn contain_quietly<T>(shard: usize, replica: usize, f: impl FnOnce() -> T) -> Result<T, ExecError> {
-    install_quiet_hook();
-    PANIC_QUIET.with(|q| q.set(true));
-    let out = panic::catch_unwind(AssertUnwindSafe(f));
-    PANIC_QUIET.with(|q| q.set(false));
-    out.map_err(|_| ExecError::Unavailable(format!("replica {shard}.{replica} worker panicked")))
+    let _quiet = QuietPanics::engage();
+    panic::catch_unwind(AssertUnwindSafe(f))
+        .map_err(|_| ExecError::Unavailable(format!("replica {shard}.{replica} worker panicked")))
 }
 
 /// Sleep up to `d`, waking early if `cancel` fires. Returns `true` when
@@ -377,24 +348,22 @@ fn interruptible_sleep(d: Duration, cancel: &CancelToken) -> bool {
     }
 }
 
-/// Why a dispatch happened, for the flow-conservation ledger: every
-/// dispatched sub-query is a shard's one primary, a hedge, or a failover.
-#[derive(Clone, Copy, PartialEq)]
-enum DispatchKind {
-    Primary,
-    Hedge,
-    Failover,
-}
-
 /// Per-shard gather state.
 struct GatherShard {
     partials: Option<QueryPartials>,
     outcome: Option<ShardOutcome>,
-    /// (replica, its sub-query token) for every copy still in flight.
-    inflight: Vec<(usize, CancelToken)>,
+    /// The token of the shard's one copy in flight.
+    inflight: Option<CancelToken>,
     tried: Vec<bool>,
-    hedge_at: Option<Instant>,
-    hedged: bool,
+}
+
+/// One gather's fixed inputs: what every dispatch of it carries.
+struct Gather<'a> {
+    topo: &'a Topology,
+    query: Arc<Query>,
+    selections: Option<Vec<Arc<Vec<u32>>>>,
+    reply_tx: mpsc::Sender<Reply>,
+    deadline: Option<Instant>,
 }
 
 impl ShardSet {
@@ -456,8 +425,8 @@ impl ShardSet {
         Ok((sr, realized))
     }
 
-    /// Scatter one sub-query per shard of `topo`, ride hedges/failovers,
-    /// and return whatever partials arrived plus the per-shard outcome
+    /// Scatter one sub-query per shard of `topo`, ride failovers, and
+    /// return whatever partials arrived plus the per-shard outcome
     /// ledger. Never fails: lost shards become typed
     /// [`ShardOutcome::Missing`] entries.
     fn scatter_gather(
@@ -469,127 +438,63 @@ impl ShardSet {
     ) -> (Vec<Option<QueryPartials>>, GatherReport) {
         let n_shards = topo.num_shards();
         let started = Instant::now();
-        let deadline = opts.budget.map(|b| started + b);
-        let query = Arc::new(query.clone());
         let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+        let g = Gather {
+            topo,
+            query: Arc::new(query.clone()),
+            selections,
+            reply_tx,
+            deadline: opts.budget.map(|b| started + b),
+        };
         self.inner.stats.gathers.incr();
         self.inner.stats.fanout.record(n_shards as u64);
 
-        let hedge_delay = self.inner.hedge.delay();
-        let can_hedge = topo.num_replicas() > 1;
         let mut gss: Vec<GatherShard> = (0..n_shards)
             .map(|_| GatherShard {
                 partials: None,
                 outcome: None,
-                inflight: Vec::new(),
+                inflight: None,
                 tried: vec![false; topo.num_replicas()],
-                hedge_at: None,
-                hedged: false,
             })
             .collect();
-
         let mut unresolved = n_shards;
-        for s in 0..n_shards {
-            let sel = selections.as_ref().map(|v| &v[s]);
-            let gs = &mut gss[s];
-            match self.dispatch(
-                topo,
-                s,
-                gs,
-                &query,
-                sel,
-                &reply_tx,
-                deadline,
-                DispatchKind::Primary,
-            ) {
-                Ok(()) => {
-                    if can_hedge {
-                        gs.hedge_at = Some(Instant::now() + hedge_delay);
-                    }
-                }
-                Err(cause) => {
-                    // No replica could take it — nothing to wait for.
-                    gs.outcome = Some(ShardOutcome::Missing { cause });
+        for (s, gs) in gss.iter_mut().enumerate() {
+            if let Err(cause) = self.dispatch(&g, s, gs, false) {
+                // No replica could take it — nothing to wait for.
+                gs.outcome = Some(ShardOutcome::Missing { cause });
+                unresolved -= 1;
+            }
+        }
+
+        while unresolved > 0 {
+            if opts.cancel.is_some_and(|c| c.should_stop()) {
+                resolve_rest(&mut gss, MissingCause::Cancelled);
+                break;
+            }
+            let now = Instant::now();
+            if g.deadline.is_some_and(|d| now >= d) {
+                resolve_rest(&mut gss, MissingCause::DeadlineExpired);
+                break;
+            }
+            // Wait for a reply, waking in time for the deadline and to poll
+            // the caller's token. (The gather holds a sender, so the
+            // channel never disconnects; a timeout just loops.)
+            let wait = g.deadline.map_or(POLL, |d| POLL.min(d - now));
+            if let Ok(reply) = reply_rx.recv_timeout(wait.max(Duration::from_micros(100))) {
+                let s = reply.shard;
+                if self.absorb_reply(&g, s, &mut gss[s], reply) {
                     unresolved -= 1;
                 }
             }
         }
 
-        while unresolved > 0 {
-            let now = Instant::now();
-            if opts.cancel.is_some_and(|c| c.should_stop()) {
-                resolve_rest(&mut gss, &mut unresolved, MissingCause::Cancelled);
-                break;
-            }
-            if deadline.is_some_and(|d| now >= d) {
-                resolve_rest(&mut gss, &mut unresolved, MissingCause::DeadlineExpired);
-                break;
-            }
-            // Fire hedges that have come due.
-            for s in 0..n_shards {
-                let sel = selections.as_ref().map(|v| &v[s]);
-                let gs = &mut gss[s];
-                if gs.outcome.is_none() && !gs.hedged && gs.hedge_at.is_some_and(|t| now >= t) {
-                    gs.hedged = true;
-                    let _ = self.dispatch(
-                        topo,
-                        s,
-                        gs,
-                        &query,
-                        sel,
-                        &reply_tx,
-                        deadline,
-                        DispatchKind::Hedge,
-                    );
-                }
-            }
-            // Wait for a reply, but wake in time for the deadline or the
-            // next due hedge.
-            let mut wait = POLL;
-            if let Some(d) = deadline {
-                wait = wait.min(d.saturating_duration_since(now));
-            }
-            for gs in gss.iter().filter(|g| g.outcome.is_none() && !g.hedged) {
-                if let Some(t) = gs.hedge_at {
-                    wait = wait.min(t.saturating_duration_since(now));
-                }
-            }
-            match reply_rx.recv_timeout(wait.max(Duration::from_micros(100))) {
-                Ok(reply) => {
-                    let sel = selections.as_ref().map(|v| &v[reply.shard]);
-                    self.absorb_reply(
-                        topo,
-                        reply,
-                        &mut gss,
-                        &mut unresolved,
-                        &query,
-                        sel,
-                        &reply_tx,
-                        deadline,
-                    );
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                // We hold a sender, so this arm is unreachable; treat it
-                // like a timeout rather than asserting.
-                Err(mpsc::RecvTimeoutError::Disconnected) => {}
-            }
-        }
-
-        // Abandoned copies (stragglers past resolution, stallers past the
-        // deadline) get their tokens cancelled so they unwind promptly.
-        for gs in &gss {
-            for (_, token) in &gs.inflight {
-                token.cancel();
-            }
-        }
-
-        let weights: Vec<u64> = match &selections {
+        let weights: Vec<u64> = match &g.selections {
             Some(sel) => sel.iter().map(|s| s.len() as u64).collect(),
             None => (0..n_shards)
                 .map(|s| topo.shards[s].rows.len() as u64)
                 .collect(),
         };
-        let rows_total = match &selections {
+        let rows_total = match &g.selections {
             // Sampled gathers report coverage against the parent row count
             // so `coverage()` is the realized sample fraction.
             Some(_) => self.inner.parent.num_rows() as u64,
@@ -627,26 +532,20 @@ impl ShardSet {
         )
     }
 
-    /// Dispatch one copy of the shard's sub-query to the best untried
-    /// replica, retrying through rejects and sheds. Returns the typed
-    /// cause when no replica could accept it: `Overloaded` when at least
-    /// one bounded queue was full, `AllReplicasDown` otherwise.
-    #[allow(clippy::too_many_arguments)]
+    /// Dispatch the shard's sub-query to the best untried replica,
+    /// retrying through rejects and sheds. Returns the typed cause when no
+    /// replica could accept it: `Overloaded` when at least one bounded
+    /// queue was full, `AllReplicasDown` otherwise.
     fn dispatch(
         &self,
-        topo: &Topology,
+        g: &Gather<'_>,
         s: usize,
         gs: &mut GatherShard,
-        query: &Arc<Query>,
-        selection: Option<&Arc<Vec<u32>>>,
-        reply_tx: &mpsc::Sender<Reply>,
-        deadline: Option<Instant>,
-        kind: DispatchKind,
+        mut failover: bool,
     ) -> Result<(), MissingCause> {
-        let mut attempt = 0usize;
         let mut shed_any = false;
         loop {
-            let Some((r, core, probe)) = self.pick_replica(topo, s, &gs.tried) else {
+            let Some((r, core, probe)) = self.pick_replica(g.topo, s, &gs.tried) else {
                 return Err(if shed_any {
                     MissingCause::Overloaded
                 } else {
@@ -654,31 +553,28 @@ impl ShardSet {
                 });
             };
             gs.tried[r] = true;
-            // Ledger: the first primary attempt is the shard's one
-            // scatter dispatch; every other dispatch is a hedge or a
-            // failover (heal probes carry their own term), so
-            // `dispatched == gathers·shards + hedges + failovers + heal_probes`.
-            match kind {
-                DispatchKind::Primary if attempt == 0 => {}
-                DispatchKind::Hedge => self.inner.stats.hedges_fired.incr(),
-                _ => self.inner.stats.failovers.incr(),
+            // Ledger: a shard's first dispatch is its one scatter term and
+            // every later one a failover (heal probes carry their own
+            // term), so `dispatched == gathers·shards + failovers + heal_probes`.
+            if failover {
+                self.inner.stats.failovers.incr();
             }
-            attempt += 1;
-            let token = deadline
+            failover = true;
+            let token = g
+                .deadline
                 .map(CancelToken::with_deadline)
                 .unwrap_or_else(CancelToken::never);
             let job = Job {
-                query: Arc::clone(query),
-                selection: selection.map(Arc::clone),
+                query: Arc::clone(&g.query),
+                selection: g.selections.as_ref().map(|v| Arc::clone(&v[s])),
                 cancel: token.clone(),
-                hedge: kind == DispatchKind::Hedge,
                 probe,
-                reply_tx: reply_tx.clone(),
+                reply_tx: g.reply_tx.clone(),
             };
             self.inner.stats.dispatched.incr();
             match core.tx.try_send(job) {
                 Ok(()) => {
-                    gs.inflight.push((r, token));
+                    gs.inflight = Some(token);
                     return Ok(());
                 }
                 Err(mpsc::TrySendError::Full(_)) => {
@@ -735,88 +631,35 @@ impl ShardSet {
             .map(|r| (r, Arc::clone(&cores[r]), false))
     }
 
-    /// Fold one worker reply into the gather.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_reply(
-        &self,
-        topo: &Topology,
-        reply: Reply,
-        gss: &mut [GatherShard],
-        unresolved: &mut usize,
-        query: &Arc<Query>,
-        selection: Option<&Arc<Vec<u32>>>,
-        reply_tx: &mpsc::Sender<Reply>,
-        deadline: Option<Instant>,
-    ) {
-        let s = reply.shard;
-        let gs = &mut gss[s];
-        if let Some(pos) = gs.inflight.iter().position(|(r, _)| *r == reply.replica) {
-            gs.inflight.remove(pos);
-        }
-        if gs.outcome.is_some() {
-            // A straggler for an already-resolved shard: its health and
-            // reply counters were recorded worker-side; nothing to do.
-            return;
-        }
-        match reply.result {
+    /// Fold shard `s`'s reply into its gather state, failing over on a
+    /// typed failure. Returns whether the shard is now resolved.
+    fn absorb_reply(&self, g: &Gather<'_>, s: usize, gs: &mut GatherShard, reply: Reply) -> bool {
+        gs.inflight = None;
+        let cause = match reply.result {
             Ok(p) => {
                 gs.partials = Some(p);
                 gs.outcome = Some(ShardOutcome::Served {
                     replica: reply.replica,
-                    hedged: reply.hedge,
                 });
-                if reply.hedge {
-                    self.inner.stats.hedges_won.incr();
-                }
-                // First answer wins: release the losing copies.
-                for (_, token) in &gs.inflight {
-                    token.cancel();
-                }
-                *unresolved -= 1;
+                return true;
             }
-            Err(e)
-                if matches!(e, ExecError::Cancelled)
-                    || deadline.is_some_and(|d| Instant::now() >= d) =>
-            {
-                // The copy was stopped by its own dispatch token — the
-                // gather's deadline or the caller's cancel — or failed
-                // once the budget was already spent (a stall ended by its
-                // token reports a fault). Burning a failover on it (or
-                // declaring the shard all-replicas-down) would misreport
-                // a blown budget as unavailability.
-                if gs.inflight.is_empty() {
-                    let cause = if deadline.is_some_and(|d| Instant::now() >= d) {
-                        MissingCause::DeadlineExpired
-                    } else {
-                        MissingCause::Cancelled
-                    };
-                    gs.outcome = Some(ShardOutcome::Missing { cause });
-                    *unresolved -= 1;
-                }
-                // else: another copy (the hedge) is still out — wait.
+            // The copy was stopped by its own dispatch token — the
+            // gather's deadline or the caller's cancel — or failed once
+            // the budget was already spent (a stall ended by its token
+            // reports a fault). Burning a failover on it (or declaring the
+            // shard all-replicas-down) would misreport a blown budget as
+            // unavailability.
+            Err(_) if g.deadline.is_some_and(|d| Instant::now() >= d) => {
+                MissingCause::DeadlineExpired
             }
-            Err(_) => {
-                match self.dispatch(
-                    topo,
-                    s,
-                    gs,
-                    query,
-                    selection,
-                    reply_tx,
-                    deadline,
-                    DispatchKind::Failover,
-                ) {
-                    Ok(()) => (), // failover copy in flight
-                    Err(cause) => {
-                        if gs.inflight.is_empty() {
-                            gs.outcome = Some(ShardOutcome::Missing { cause });
-                            *unresolved -= 1;
-                        }
-                        // else: another copy (the hedge) is still out — wait.
-                    }
-                }
-            }
-        }
+            Err(ExecError::Cancelled) => MissingCause::Cancelled,
+            Err(_) => match self.dispatch(g, s, gs, true) {
+                Ok(()) => return false, // the failover copy is in flight
+                Err(cause) => cause,
+            },
+        };
+        gs.outcome = Some(ShardOutcome::Missing { cause });
+        true
     }
 
     /// Combine served partials against the parent table and apply the
@@ -845,14 +688,13 @@ impl ShardSet {
 }
 
 /// Mark every still-unresolved shard missing with `cause`, cancelling its
-/// in-flight copies.
-fn resolve_rest(gss: &mut [GatherShard], unresolved: &mut usize, cause: MissingCause) {
+/// in-flight copy so it unwinds promptly.
+fn resolve_rest(gss: &mut [GatherShard], cause: MissingCause) {
     for gs in gss.iter_mut().filter(|g| g.outcome.is_none()) {
         gs.outcome = Some(ShardOutcome::Missing { cause });
-        for (_, token) in &gs.inflight {
+        if let Some(token) = gs.inflight.take() {
             token.cancel();
         }
-        *unresolved -= 1;
     }
 }
 
@@ -1066,7 +908,7 @@ mod tests {
         }
         assert!(!set.replica_healthy(0, 0), "replica 0 is suspect");
         // After the cooldown the next gather probes replica 0, and the
-        // probe is cancelled by a hedge or the gather deadline.
+        // probe is cancelled by the gather deadline.
         set.revive_replica(0, 0);
         let faults = set.fault_injector();
         faults.set_dynamic(0, 0, FaultKind::Latency(Duration::from_millis(500)));

@@ -4,31 +4,30 @@
 //! Per replica position, the healer runs a small state machine:
 //!
 //! ```text
-//! dead ──► cloning ──► warming ──► probe ───► healthy
-//!            │            │           │
-//!            └────────────┴───────────┴──► failed (backoff, retry)
+//! dead ──► warming ──► probe ───► healthy
+//!             │           │
+//!             └───────────┴──► failed (backoff, retry)
 //! ```
 //!
 //! - **dead**: the position's dead flag is set (an explicit kill or a
 //!   `down_until_healed` fault), or its breaker has been continuously
-//!   suspect for at least [`HealConfig::suspect_after`].
-//! - **cloning**: the shard's table is re-projected from the parent via
-//!   [`muve_dbms::Table::project_rows`] — a bit-identical replica clone
-//!   (same content fingerprint, so cache epochs do not move).
-//! - **warming / probe**: a fresh worker is spawned over the clone and
-//!   a warm-up sub-query (`COUNT(*)` over the shard) is dispatched
-//!   directly to its queue — **before** the slot swap, so routing never
-//!   sees the replacement until it has proven it can answer. The probe
-//!   rides the ordinary worker ledger (`shard.heal_probes` is its term
-//!   in the dispatch taxonomy).
+//!   suspect for at least [`SUSPECT_AFTER`].
+//! - **warming / probe**: a fresh worker is spawned over the shard's
+//!   existing table — replicas are threads over one immutable
+//!   `Arc<Table>`, so there is nothing to copy and the shard fingerprint
+//!   (and with it the cache epoch) cannot move — and a warm-up sub-query
+//!   (`COUNT(*)` over the shard) is dispatched directly to its queue —
+//!   **before** the slot swap, so routing never sees the replacement until
+//!   it has proven it can answer. The probe rides the ordinary worker
+//!   ledger (`shard.heal_probes` is its term in the dispatch taxonomy).
 //! - **healthy**: the replacement core is swapped into the topology slot
 //!   and the old core retires with its last in-flight user.
 //!
-//! The healer is deliberately a *single* thread healing at most
-//! [`HealConfig::budget_per_tick`] positions per poll tick — the heal
-//! budget that keeps re-replication (a full shard projection each time)
-//! from starving foreground queries. Failed heals back off by
-//! [`HealConfig::retry_backoff`] per position.
+//! The healer is deliberately a *single* thread starting at most one heal
+//! per [`POLL`] tick, so re-replication never competes with foreground
+//! queries for more than one worker start at a time. A failed heal backs
+//! the position off for [`RETRY_BACKOFF`]. The timings are constants: they
+//! have one value in use.
 //!
 //! Resizes fence the healer the same way they fence gathers: a heal
 //! carries the generation of the topology snapshot it started from, and
@@ -44,53 +43,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Knobs of the self-healing layer.
-#[derive(Debug, Clone, Copy)]
-pub struct HealConfig {
-    /// Whether a [`crate::ShardSet`] spawns the healer thread at all.
-    /// Off by default: chaos suites that assert on *manual* kill/revive
-    /// semantics (and any caller that wants PR 8 behavior) keep it off;
-    /// the CLI and the self-healing suites turn it on.
-    pub enabled: bool,
-    /// Healer poll interval.
-    pub poll: Duration,
-    /// How long a replica must be continuously suspect (breaker-tripped)
-    /// before the healer gives up on probes and re-replicates it. Dead
-    /// flags skip this wait — an explicit kill heals on the next tick.
-    pub suspect_after: Duration,
-    /// How long the warm-up probe may take before the heal is abandoned.
-    pub probe_timeout: Duration,
-    /// Per-position backoff after a failed heal.
-    pub retry_backoff: Duration,
-    /// Maximum heals started per poll tick (the heal budget).
-    pub budget_per_tick: usize,
-}
+/// Healer poll interval.
+const POLL: Duration = Duration::from_millis(10);
+/// How long a replica must be continuously suspect (breaker-tripped)
+/// before the healer gives up on probes and re-replicates it. Dead flags
+/// skip this wait — an explicit kill heals on the next tick.
+const SUSPECT_AFTER: Duration = Duration::from_millis(300);
+/// How long the warm-up probe may take before the heal is abandoned.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
+/// Per-position backoff after a failed heal.
+const RETRY_BACKOFF: Duration = Duration::from_millis(250);
 
-impl Default for HealConfig {
-    fn default() -> HealConfig {
-        HealConfig {
-            enabled: false,
-            poll: Duration::from_millis(10),
-            suspect_after: Duration::from_millis(300),
-            probe_timeout: Duration::from_secs(2),
-            retry_backoff: Duration::from_millis(250),
-            budget_per_tick: 1,
-        }
-    }
-}
-
-impl HealConfig {
-    /// A config with healing switched on and default tuning.
-    pub fn enabled() -> HealConfig {
-        HealConfig {
-            enabled: true,
-            ..HealConfig::default()
-        }
-    }
-}
-
-/// Healer thread body: poll the topology for positions that need healing
-/// and re-replicate them, within the per-tick budget.
+/// Healer thread body: each tick, heal the first position that needs it
+/// and is not backing off.
 pub(crate) fn healer_main(inner: Arc<ShardInner>, stop: Arc<AtomicBool>) {
     // Backoff per *core* (keyed by the health state's address): a healed
     // slot gets a fresh core and therefore a fresh backoff.
@@ -98,62 +63,48 @@ pub(crate) fn healer_main(inner: Arc<ShardInner>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::SeqCst) {
         inner.reap_finished();
         let topo = inner.topology();
-        let cfg = topo.spec.heal;
+        let now = Instant::now();
         let mut seen: Vec<usize> = Vec::new();
-        let mut healed_this_tick = 0usize;
-        'scan: for s in 0..topo.num_shards() {
+        let mut due = None;
+        for s in 0..topo.num_shards() {
             for r in 0..topo.num_replicas() {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
                 let core = topo.replicas[s][r].core();
                 let key = Arc::as_ptr(&core.health) as usize;
                 seen.push(key);
-                let now = Instant::now();
                 let needs_heal = core.dead.load(Ordering::SeqCst)
                     || core
                         .health
                         .open_since()
-                        .is_some_and(|t| now >= t + cfg.suspect_after);
-                if !needs_heal || backoff.get(&key).is_some_and(|&until| now < until) {
-                    continue;
-                }
-                if healed_this_tick >= cfg.budget_per_tick.max(1) {
-                    break 'scan;
-                }
-                healed_this_tick += 1;
-                if !heal_one(&inner, &topo, s, r, &cfg) {
-                    backoff.insert(key, Instant::now() + cfg.retry_backoff);
+                        .is_some_and(|t| now >= t + SUSPECT_AFTER);
+                let backing_off = backoff.get(&key).is_some_and(|&until| now < until);
+                if due.is_none() && needs_heal && !backing_off {
+                    due = Some((s, r, key));
                 }
             }
         }
         backoff.retain(|k, _| seen.contains(k));
-        std::thread::sleep(cfg.poll);
+        if let Some((s, r, key)) = due {
+            if !heal_one(&inner, &topo, s, r) {
+                backoff.insert(key, Instant::now() + RETRY_BACKOFF);
+            }
+        }
+        std::thread::sleep(POLL);
     }
 }
 
-/// Heal one position: clone → warm → probe → swap. Returns whether the
+/// Heal one position: warm → probe → swap. Returns whether the
 /// replacement made it into the topology.
-fn heal_one(inner: &ShardInner, topo: &Topology, s: usize, r: usize, cfg: &HealConfig) -> bool {
+fn heal_one(inner: &ShardInner, topo: &Topology, s: usize, r: usize) -> bool {
     let started = Instant::now();
     inner.stats.heals_started.incr();
-    // Cloning: re-project the shard from the surviving parent data. The
-    // projection is bit-identical (same rows, same dictionary codes), so
-    // the shard fingerprint — and with it the cache epoch — is unchanged.
-    let table = Arc::new(inner.parent.project_rows(&topo.shards[s].rows));
-    debug_assert_eq!(
-        table.fingerprint(),
-        topo.shards[s].table.fingerprint(),
-        "a replica clone must be bit-identical"
-    );
     // Disarm `down_until_healed` for these coordinates *before* the
     // probe, or the clause would re-kill every replacement.
     inner.injector.mark_healed(s, r);
-    // Warming: a fresh worker over the clone, not yet routed to.
-    let core = inner.spawn_replica(s, r, table);
+    // Warming: a fresh worker over the shard's table, not yet routed to.
+    let core = inner.spawn_replica(s, r, Arc::clone(&topo.shards[s].table));
     // Probe: the replacement must answer a real sub-query through its
     // own queue before it is re-admitted.
-    if !probe(inner, &core, s, r, cfg) {
+    if !probe(inner, &core, s, r) {
         inner.stats.heals_failed.incr();
         return false; // dropping `core` retires the warming worker
     }
@@ -172,14 +123,12 @@ fn heal_one(inner: &ShardInner, topo: &Topology, s: usize, r: usize, cfg: &HealC
 /// Dispatch the warm-up sub-query to the replacement worker and wait for
 /// its answer. Rides the ordinary ledger: one `dispatched` (+ one
 /// `heal_probes`) that a reply or reject accounts for.
-fn probe(inner: &ShardInner, core: &ReplicaCore, s: usize, r: usize, cfg: &HealConfig) -> bool {
+fn probe(inner: &ShardInner, core: &ReplicaCore, s: usize, r: usize) -> bool {
     let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-    let deadline = Instant::now() + cfg.probe_timeout;
     let job = Job {
         query: Arc::new(probe_query(inner)),
         selection: None,
-        cancel: CancelToken::with_deadline(deadline),
-        hedge: false,
+        cancel: CancelToken::with_deadline(Instant::now() + PROBE_TIMEOUT),
         probe: false,
         reply_tx,
     };
@@ -191,7 +140,7 @@ fn probe(inner: &ShardInner, core: &ReplicaCore, s: usize, r: usize, cfg: &HealC
         inner.stats.rejects.incr();
         return false;
     }
-    match reply_rx.recv_timeout(cfg.probe_timeout) {
+    match reply_rx.recv_timeout(PROBE_TIMEOUT) {
         Ok(reply) => {
             debug_assert_eq!((reply.shard, reply.replica), (s, r));
             reply.result.is_ok()
@@ -232,13 +181,7 @@ mod tests {
 
     fn healing_spec(shards: usize, replicas: usize) -> ShardSpec {
         ShardSpec {
-            heal: HealConfig {
-                enabled: true,
-                poll: Duration::from_millis(2),
-                suspect_after: Duration::from_millis(50),
-                retry_backoff: Duration::from_millis(20),
-                ..HealConfig::default()
-            },
+            heal: true,
             ..ShardSpec::new(shards, replicas)
         }
     }
@@ -317,9 +260,8 @@ mod tests {
         let set = ShardSet::build(table(800), ShardSpec::new(2, 1));
         let topo = set.inner.topology();
         set.resize(4, 1);
-        let cfg = HealConfig::default();
         assert!(
-            !heal_one(&set.inner, &topo, 0, 0, &cfg),
+            !heal_one(&set.inner, &topo, 0, 0),
             "stale-generation heal must be abandoned"
         );
         let snap = set.stats().snapshot();

@@ -23,11 +23,10 @@
 //!   lands while suspect — recovers it. Routing load-balances reads across
 //!   healthy replicas; a suspect one only sees traffic as its probe, or
 //!   when nothing healthier is left.
-//! - **Hedging** ([`HedgeTracker`]) — sub-queries unanswered after the
-//!   rolling-p99 delay are re-issued to another replica; first answer
-//!   wins, the loser is cancelled but still accounted.
 //! - **Failover** — typed sub-query failures re-dispatch to untried
-//!   replicas.
+//!   replicas, one copy in flight per shard at a time. Replicas are
+//!   threads over one shared `Arc<Table>`, so a second copy of a slow
+//!   sub-query would only contend for the same cores.
 //! - **Partial-result degradation** ([`ShardOutcome`], [`GatherReport`])
 //!   — when a shard is lost entirely, the answer degrades to a typed,
 //!   coverage-scaled estimate instead of an error (callers may opt out
@@ -36,9 +35,9 @@
 //!   replica-level fault injection (`error` / `panic` / `stall` / `down`
 //!   / `down_until_healed` / `latency`) so the failover machinery is
 //!   testable and replayable.
-//! - **Self-healing** ([`HealConfig`]) — a background healer watches the
-//!   per-replica breaker state, clones the shard table for a dead
-//!   replica, warms a fresh worker behind a probe query, and only then
+//! - **Self-healing** ([`ShardSpec::heal`]) — a background healer watches
+//!   the per-replica dead flags and breaker state, warms a fresh worker
+//!   over the shard's existing table behind a probe query, and only then
 //!   re-admits it to routing. No manual `revive` needed.
 //! - **Live resharding** ([`ShardSet::resize`]) — a new topology is
 //!   built beside the old one and swapped in atomically; in-flight
@@ -46,9 +45,9 @@
 //!   query sees exactly one consistent layout and results stay
 //!   bit-identical before, during, and after a resize.
 //! - **Chaos orchestration** ([`ChaosScript`], [`ChaosOrchestrator`]) —
-//!   seeded scripts of timed kill/revive/slow/partition/resize events
-//!   driven by a logical step counter, so healing chaos suites replay
-//!   identically in CI.
+//!   scripts of timed kill/revive/slow/partition/resize events, built in
+//!   code or seeded, driven by a logical step counter, so healing chaos
+//!   suites replay identically in CI.
 //!
 //! Every dispatch/reply/outcome lands in flow-conserving counters
 //! ([`ShardStats`], one [`muve_obs::ledger!`] declaration) mirrored into
@@ -56,10 +55,11 @@
 //! registry.
 //!
 //! The robustness tuning is constants, not options — the replica breaker
-//! (3 failures, 250 ms), the hedge clamps and window and the per-replica
-//! queue bound (128) each have one value in use. A sub-query scans on its
+//! (3 failures, 250 ms), the per-replica queue bound (128) and the healer
+//! timings (10 ms poll, 300 ms suspect window, 2 s probe timeout, 250 ms
+//! retry backoff) each have one value in use. A sub-query scans on its
 //! replica's worker thread, like every scan in the engine. [`ShardSpec`]
-//! is the shape (`N`×`R`) plus [`HealConfig`].
+//! is the shape (`N`×`R`) plus whether the healer runs.
 
 #![warn(missing_docs)]
 
@@ -67,16 +67,13 @@ mod chaos;
 mod exec;
 mod fault;
 mod heal;
-mod hedge;
 mod set;
 mod stats;
 
-pub use chaos::{ChaosAction, ChaosEvent, ChaosOrchestrator, ChaosScript, ChaosScriptError};
+pub use chaos::{ChaosAction, ChaosEvent, ChaosOrchestrator, ChaosScript};
 pub use exec::{
     local_selection, GatherReport, MissingCause, ShardExecOptions, ShardOutcome, ShardedResult,
 };
 pub use fault::{FaultKind, ShardFaultInjector};
-pub use heal::HealConfig;
-pub use hedge::HedgeTracker;
 pub use set::{partition_rows, ShardSet, ShardSpec};
 pub use stats::{ShardStats, ShardStatsSnapshot};

@@ -3,14 +3,14 @@
 //! A [`ShardSet`] splits one parent [`Table`] into `N` hash-partitioned
 //! shard tables ([`Table::project_rows`] keeps the parent's dictionary
 //! codes, so grouped partials combine exactly) and spawns `R` replica
-//! worker threads per shard. Replicas of a shard serve bit-identical
-//! projections of the same parent rows — in-process replication buys
+//! worker threads per shard. The replicas of a shard are threads over
+//! one shared, immutable shard table — in-process replication buys
 //! execution-level redundancy (a panicking, stalled, or killed worker),
 //! not storage redundancy — and each worker owns its own bounded job
 //! queue, health state, and fault hooks, so one replica's demise never
 //! takes its siblings down.
 //!
-//! Since PR 10 the set is **self-healing and resizable**: the whole
+//! The set is **self-healing and resizable**: the whole
 //! `N`×`R` layout lives in an immutable [`Topology`] snapshot behind one
 //! `RwLock<Arc<_>>`. Every gather clones the `Arc` once at entry and
 //! executes against exactly that snapshot — the *epoch fence* — so a
@@ -22,8 +22,7 @@
 
 use crate::exec::{worker_main, Job};
 use crate::fault::ShardFaultInjector;
-use crate::heal::{healer_main, HealConfig};
-use crate::hedge::HedgeTracker;
+use crate::heal::healer_main;
 use crate::stats::ShardStats;
 use muve_dbms::Table;
 use muve_obs::{Breaker, BreakerConfig};
@@ -53,8 +52,10 @@ pub struct ShardSpec {
     pub shards: usize,
     /// Replicas per shard (R ≥ 1).
     pub replicas: usize,
-    /// Self-healing knobs (off by default; see [`HealConfig`]).
-    pub heal: HealConfig,
+    /// Whether a background healer re-replicates dead or persistently
+    /// suspect replicas (off by default; the CLI and the daemon turn it
+    /// on). Its timings are constants of the heal module.
+    pub heal: bool,
 }
 
 impl ShardSpec {
@@ -63,7 +64,7 @@ impl ShardSpec {
         ShardSpec {
             shards,
             replicas,
-            heal: HealConfig::default(),
+            heal: false,
         }
         .normalized()
     }
@@ -190,7 +191,6 @@ pub(crate) struct ShardInner {
     pub(crate) parent: Arc<Table>,
     pub(crate) topo: RwLock<Arc<Topology>>,
     pub(crate) stats: Arc<ShardStats>,
-    pub(crate) hedge: Arc<HedgeTracker>,
     pub(crate) injector: Arc<ShardFaultInjector>,
     /// Join handles of every worker thread ever spawned (initial build,
     /// heals, resizes). The healer reaps finished ones; `Drop` joins the
@@ -223,16 +223,13 @@ impl ShardInner {
             Arc::clone(&dead),
             Arc::clone(&health),
             Arc::clone(&self.stats),
-            Arc::clone(&self.hedge),
             Arc::clone(&self.injector),
         );
         let join = std::thread::Builder::new()
             .name(format!("muve-shard-s{shard}r{replica}"))
             .spawn(move || {
-                let (table, dead, health, stats, hedge, injector) = ctx;
-                worker_main(
-                    shard, replica, table, dead, health, stats, hedge, injector, rx,
-                );
+                let (table, dead, health, stats, injector) = ctx;
+                worker_main(shard, replica, table, dead, health, stats, injector, rx);
             })
             .expect("spawn shard worker");
         self.threads
@@ -354,14 +351,13 @@ impl ShardSet {
             // Placeholder; replaced before the set is visible to anyone.
             topo: RwLock::new(Arc::new(Topology::retired(spec))),
             stats: Arc::new(ShardStats::new()),
-            hedge: Arc::new(HedgeTracker::default()),
             injector: Arc::new(injector),
             threads: Mutex::new(Vec::new()),
             generation: AtomicU64::new(0),
         });
         let topo = inner.build_topology(spec, 0);
         *inner.topo.write().unwrap_or_else(|e| e.into_inner()) = topo;
-        let healer = if spec.heal.enabled {
+        let healer = if spec.heal {
             let stop = Arc::new(AtomicBool::new(false));
             let ctx = (Arc::clone(&inner), Arc::clone(&stop));
             let join = std::thread::Builder::new()
@@ -426,11 +422,6 @@ impl ShardSet {
     /// Flow-conserving execution counters.
     pub fn stats(&self) -> &ShardStats {
         &self.inner.stats
-    }
-
-    /// The current hedge delay (for status displays).
-    pub fn hedge_delay(&self) -> Duration {
-        self.inner.hedge.delay()
     }
 
     /// The fault injector this set was built with (chaos suites arm

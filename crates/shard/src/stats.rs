@@ -3,12 +3,12 @@
 //! Every sub-query dispatched to a replica is eventually accounted for in
 //! exactly one of `replies_ok` / `replies_err` / `rejects` — workers count
 //! a reply *before* sending it, so even replies the gather abandoned (a
-//! hedge loser, a straggler past the deadline) land in the books. The
+//! straggler past the deadline) land in the books. The
 //! counter-only identities are declared with the ledger below and checked
 //! by [`ShardStatsSnapshot::violations`]; the ones that need topology stay
 //! with the suites that know it (`tests/shard_failover.rs`):
 //!
-//! - `dispatched == gathers * shards + hedges_fired + failovers + heal_probes`
+//! - `dispatched == gathers * shards + failovers + heal_probes`
 //! - `gathers * shards == shards_served + shards_missing`
 //! - `replica_trips == replica_recoveries + currently-suspect replicas`
 //!
@@ -28,8 +28,8 @@ muve_obs::ledger! {
     pub struct ShardStatsSnapshot {
         /// Scatter-gathers started.
         gathers => "shard.scatters",
-        /// Sub-queries handed to replica workers (primaries + hedges +
-        /// failovers + heal probes).
+        /// Sub-queries handed to replica workers (primaries + failovers +
+        /// heal probes).
         dispatched => "shard.subqueries",
         /// Sub-queries a worker answered successfully (counted even when
         /// the gather had already moved on).
@@ -39,10 +39,6 @@ muve_obs::ledger! {
         /// Dispatches that never reached a worker (its queue was full or
         /// gone).
         rejects => "shard.rejects",
-        /// Hedge sub-queries issued after the hedge delay elapsed.
-        hedges_fired => "shard.hedges_fired",
-        /// Gathers where the *hedge* copy answered first.
-        hedges_won => "shard.hedges_won",
         /// Re-dispatches to another replica after a typed failure.
         failovers => "shard.failovers",
         /// Sub-queries routed to a suspect replica as its single probe.
@@ -83,7 +79,6 @@ muve_obs::ledger! {
     }
     identities {
         (dispatched) == (replies_ok + replies_err + rejects);
-        (hedges_won) <= (hedges_fired);
         (replica_queue_shed) <= (rejects);
         (heals_started) >= (heals_completed + heals_failed);
     }

@@ -85,12 +85,17 @@ fn numeric(rng: &mut StdRng) -> &'static str {
     ["v", "f"][rng.gen_range(0..2)]
 }
 
+/// One aggregate over a numeric column; a COUNT is also drawn as
+/// `count(*)` or over a string column.
 fn random_aggregate(rng: &mut StdRng) -> Aggregate {
     let func = AggFunc::ALL[rng.gen_range(0..AggFunc::ALL.len())];
-    if func == AggFunc::Count && rng.gen_bool(0.5) {
-        Aggregate::count_star()
-    } else {
-        Aggregate::over(func, numeric(rng))
+    if func != AggFunc::Count {
+        return Aggregate::over(func, numeric(rng));
+    }
+    match rng.gen_range(0..3) {
+        0 => Aggregate::count_star(),
+        1 => Aggregate::over(func, numeric(rng)),
+        _ => Aggregate::over(func, ["k", "g", "hub"][rng.gen_range(0..3)]),
     }
 }
 

@@ -26,8 +26,9 @@ fn holds(v: &Value, op: &PredOp) -> bool {
     }
 }
 
-/// One aggregate over a group's non-NULL values: COUNT an int, the rest
-/// a float folded in row order, NULL over no values.
+/// One aggregate over a group's non-NULL values (a COUNT's of any type):
+/// COUNT an int, the rest a float folded in row order, NULL over no
+/// values.
 fn aggregate(func: AggFunc, xs: &[f64]) -> Value {
     let Some(&first) = xs.first() else {
         return if func == AggFunc::Count {
@@ -83,10 +84,10 @@ pub fn row_model(table: &Table, query: &Query, ids: Option<&[u32]>) -> ResultSet
     let out_rows = groups.into_values().map(|members| {
         let mut out: Vec<Value> = keys.iter().map(|&c| members[0][c].clone()).collect();
         for a in &query.aggregates {
-            let value = |row: &&Vec<Value>| {
-                a.column
-                    .as_ref()
-                    .map_or(Some(1.0), |c| row[col(c)].as_f64())
+            let value = |row: &&Vec<Value>| match a.column.as_ref().map(|c| &row[col(c)]) {
+                None => Some(1.0),
+                Some(Value::Null) => None,
+                Some(v) => Some(v.as_f64().unwrap_or(1.0)),
             };
             let xs: Vec<f64> = members.iter().filter_map(value).collect();
             out.push(aggregate(a.func, &xs));

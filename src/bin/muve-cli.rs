@@ -59,7 +59,7 @@ use muve::pipeline::{
     FaultInjector, Session, SessionCaches, SessionConfig, SessionOutcome, Visualization,
 };
 use muve::serve::{Request, ServeOutcome, Server, ServerConfig};
-use muve::shard::{HealConfig, ShardSet, ShardSpec};
+use muve::shard::{ShardSet, ShardSpec};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
@@ -124,17 +124,17 @@ impl Shell {
 
     fn rebuild_shards(&mut self, shards: usize, replicas: usize) {
         // The shell runs with the healer on: a killed replica is detected,
-        // re-cloned, warmed and re-admitted without a manual `revive`.
+        // replaced by a warmed worker over the same shard table and
+        // re-admitted without a manual `revive`.
         let spec = ShardSpec {
-            heal: HealConfig::enabled(),
+            heal: true,
             ..ShardSpec::new(shards, replicas)
         };
         let set = Arc::new(ShardSet::build(Arc::clone(&self.table), spec));
         println!(
-            "sharded execution: {} shards x {} replicas, hedge delay {:.1} ms, healer on",
+            "sharded execution: {} shards x {} replicas, healer on",
             set.num_shards(),
-            set.num_replicas(),
-            set.hedge_delay().as_secs_f64() * 1000.0
+            set.num_replicas()
         );
         self.shards = Some(set);
         self.stamp_caches();
@@ -158,12 +158,11 @@ impl Shell {
             return;
         };
         println!(
-            "{} shards x {} replicas over {:?} ({} rows), hedge delay {:.1} ms, healer {}",
+            "{} shards x {} replicas over {:?} ({} rows), healer {}",
             set.num_shards(),
             set.num_replicas(),
             self.table.name(),
             self.table.num_rows(),
-            set.hedge_delay().as_secs_f64() * 1000.0,
             if set.healer_enabled() { "on" } else { "off" }
         );
         for s in 0..set.num_shards() {
@@ -178,15 +177,12 @@ impl Shell {
         let st = set.stats().snapshot();
         println!(
             "  gathers {} ({} partial), sub-queries {} (ok {}, err {}), \
-             hedges {}/{} won, failovers {}, trips {}, recoveries {}, \
-             shards served {}, missing {}",
+             failovers {}, trips {}, recoveries {}, shards served {}, missing {}",
             st.gathers,
             st.partial_gathers,
             st.dispatched,
             st.replies_ok,
             st.replies_err,
-            st.hedges_won,
-            st.hedges_fired,
             st.failovers,
             st.replica_trips,
             st.replica_recoveries,

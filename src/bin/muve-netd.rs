@@ -120,7 +120,7 @@ fn main() {
 
     if let Some((n, r)) = shards {
         let spec = muve::shard::ShardSpec {
-            heal: muve::shard::HealConfig::enabled(),
+            heal: true,
             ..muve::shard::ShardSpec::new(n, r)
         };
         serve_cfg.shards = Some(Arc::new(muve::shard::ShardSet::build(

@@ -52,7 +52,7 @@ fn burst_queries() -> Vec<Query> {
 /// Quiesce the set, then assert every flow-conservation identity from the
 /// stats ledger. These are exact equalities, not bounds: each dispatched
 /// sub-query maps to exactly one reply-or-reject, and to exactly one of
-/// {primary, hedge, failover, heal probe}.
+/// {primary, failover, heal probe}.
 fn assert_flow_conserved(set: &ShardSet) {
     assert!(
         set.quiesce(Duration::from_secs(10)),
@@ -64,7 +64,7 @@ fn assert_flow_conserved(set: &ShardSet) {
     assert_eq!(s.violations(), Vec::<String>::new(), "ledger: {s:?}");
     assert_eq!(
         s.dispatched,
-        s.gathers * shards + s.hedges_fired + s.failovers + s.heal_probes,
+        s.gathers * shards + s.failovers + s.heal_probes,
         "attempt taxonomy: {s:?}"
     );
     assert_eq!(

@@ -20,7 +20,7 @@ use muve::net::{NetConfig, NetServer};
 use muve::pipeline::SessionConfig;
 use muve::serve::ServerConfig;
 use muve::shard::{
-    ChaosAction, ChaosOrchestrator, ChaosScript, HealConfig, ShardExecOptions, ShardSet, ShardSpec,
+    ChaosAction, ChaosEvent, ChaosOrchestrator, ChaosScript, ShardExecOptions, ShardSet, ShardSpec,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -36,23 +36,9 @@ fn flights(rows: usize) -> Arc<Table> {
     Arc::new(Dataset::Flights.generate(rows, 7))
 }
 
-/// Healer tuned for test time scales: kills are detected within a couple
-/// of milliseconds; the suspect path is parked far out so only explicit
-/// kills (dead flags) trigger heals — keeps the heal ledger predictable.
-fn fast_heal() -> HealConfig {
-    HealConfig {
-        enabled: true,
-        poll: Duration::from_millis(2),
-        suspect_after: Duration::from_secs(30),
-        probe_timeout: Duration::from_secs(2),
-        retry_backoff: Duration::from_millis(20),
-        budget_per_tick: 2,
-    }
-}
-
 fn healing_set(table: &Arc<Table>) -> ShardSet {
     let spec = ShardSpec {
-        heal: fast_heal(),
+        heal: true,
         ..ShardSpec::new(SHARDS, REPLICAS)
     };
     ShardSet::build(Arc::clone(table), spec)
@@ -199,12 +185,12 @@ fn run_seeded_chaos(seed: u64) -> Vec<String> {
         set.stats().snapshot()
     );
     let s = set.stats().snapshot();
-    // Counter-only identities (dispatch ledger, hedges, sheds, heals —
-    // with no heal in flight after quiesce, started = completed + failed).
+    // Counter-only identities (dispatch ledger, sheds, heals — with no
+    // heal in flight after quiesce, started = completed + failed).
     assert_eq!(s.violations(), Vec::<String>::new(), "{s:?}");
     assert_eq!(
         s.dispatched,
-        expected_attempts + s.hedges_fired + s.failovers + s.heal_probes,
+        expected_attempts + s.failovers + s.heal_probes,
         "attempt taxonomy across resizes: {s:?}"
     );
     assert_eq!(
@@ -333,15 +319,20 @@ fn full_stack_chaos_serves_identical_exact_answers_while_healing() {
     .expect("bind");
     let addr = server.local_addr();
 
-    let script = ChaosScript::parse(
-        "@2 kill 0.1\n\
-         @5 kill 1.0\n\
-         @8 resize 6x2\n\
-         @11 kill 2.1\n\
-         @14 resize 3x2\n\
-         @17 kill 0.0\n",
-    )
-    .unwrap();
+    let kill = |shard, replica| ChaosAction::Kill { shard, replica };
+    let resize = |shards, replicas| ChaosAction::Resize { shards, replicas };
+    let script = ChaosScript::new(
+        [
+            (2, kill(0, 1)),
+            (5, kill(1, 0)),
+            (8, resize(6, 2)),
+            (11, kill(2, 1)),
+            (14, resize(3, 2)),
+            (17, kill(0, 0)),
+        ]
+        .map(|(at_step, action)| ChaosEvent { at_step, action })
+        .to_vec(),
+    );
     let mut orch = ChaosOrchestrator::new(script);
 
     let transcripts = [
