@@ -5,7 +5,8 @@
 //! phonetic [`speech`] noise channel (the Web Speech API substitute), and
 //! the paper's own [`candidates`] layer that turns the most likely query
 //! into a probability distribution over phonetically similar candidate
-//! queries ("text to multi-SQL").
+//! queries ("text to multi-SQL"). A [`Lexicon`] holds both lookup
+//! structures of one table, so a long-lived caller builds them once.
 //!
 //! ```
 //! use muve_dbms::{ColumnType, Schema, Table, Value};
@@ -28,12 +29,14 @@
 
 pub mod candidates;
 pub mod describe;
+pub mod lexicon;
 pub mod numwords;
 pub mod speech;
 pub mod text2sql;
 
 pub use candidates::{CandidateError, CandidateGenerator, CandidateQuery};
 pub use describe::describe_query;
+pub use lexicon::Lexicon;
 pub use numwords::{confusable_numbers, number_to_words};
 pub use speech::SpeechChannel;
 pub use text2sql::{translate, TranslateError};

@@ -51,6 +51,13 @@ impl std::error::Error for TranslateError {}
 /// );
 /// ```
 pub fn translate(utterance: &str, table: &Table) -> Result<Query, TranslateError> {
+    let tokens = tokenize(utterance)?;
+    Ok(interpret(&Phrases::new(table), &tokens))
+}
+
+/// Split an utterance into lowercase word tokens; an utterance without any
+/// is [`TranslateError::Empty`].
+pub(crate) fn tokenize(utterance: &str) -> Result<Vec<String>, TranslateError> {
     let tokens: Vec<String> = utterance
         .split(|c: char| !c.is_alphanumeric() && c != '\'')
         .filter(|w| !w.is_empty())
@@ -59,47 +66,83 @@ pub fn translate(utterance: &str, table: &Table) -> Result<Query, TranslateError
     if tokens.is_empty() {
         return Err(TranslateError::Empty);
     }
+    Ok(tokens)
+}
 
-    let func = detect_aggregate(&tokens);
+/// What [`translate`] matches an utterance against: multi-word lookup
+/// tables of column names (underscores split) and of the dictionary values
+/// of categorical columns, plus the table name and numeric columns the
+/// query is built from. Only the table's contents decide them, so a
+/// [`Lexicon`](crate::Lexicon) builds them once per table.
+#[derive(Debug)]
+pub(crate) struct Phrases {
+    table: String,
+    /// Numeric column names in schema order (the aggregate fallback).
+    numeric: Vec<String>,
+    numeric_cols: FxHashMap<Vec<String>, String>,
+    categorical_cols: FxHashMap<Vec<String>, String>,
+    /// Dictionary value words → (owning column, value); the first column
+    /// to hold a spelling keeps it.
+    constants: FxHashMap<Vec<String>, (String, String)>,
+    max_ngram: usize,
+}
 
-    // Multi-word lookup tables: column names (underscores split) and
-    // dictionary values of categorical columns.
-    let mut numeric_cols: FxHashMap<Vec<String>, String> = FxHashMap::default();
-    let mut categorical_cols: FxHashMap<Vec<String>, String> = FxHashMap::default();
-    let mut constants: FxHashMap<Vec<String>, (String, String)> = FxHashMap::default();
-    let mut max_ngram = 1usize;
-    for (i, def) in table.schema().columns().iter().enumerate() {
-        let words: Vec<String> = def
-            .name
-            .split('_')
-            .map(|w| w.to_ascii_lowercase())
-            .collect();
-        max_ngram = max_ngram.max(words.len());
-        match def.ty {
-            ColumnType::Int | ColumnType::Float => {
-                numeric_cols.insert(words, def.name.clone());
-            }
-            ColumnType::Str => {
-                categorical_cols.insert(words, def.name.clone());
-                if let Some(dict) = table.column(i).dictionary() {
-                    for v in dict.entries() {
-                        let words: Vec<String> = v
-                            .split(|c: char| !c.is_alphanumeric())
-                            .filter(|w| !w.is_empty())
-                            .map(|w| w.to_ascii_lowercase())
-                            .collect();
-                        if words.is_empty() {
-                            continue;
+impl Phrases {
+    /// Build the lookup tables over every column name and dictionary entry.
+    pub(crate) fn new(table: &Table) -> Phrases {
+        let mut numeric: Vec<String> = Vec::new();
+        let mut numeric_cols: FxHashMap<Vec<String>, String> = FxHashMap::default();
+        let mut categorical_cols: FxHashMap<Vec<String>, String> = FxHashMap::default();
+        let mut constants: FxHashMap<Vec<String>, (String, String)> = FxHashMap::default();
+        let mut max_ngram = 1usize;
+        for (i, def) in table.schema().columns().iter().enumerate() {
+            let words: Vec<String> = def
+                .name
+                .split('_')
+                .map(|w| w.to_ascii_lowercase())
+                .collect();
+            max_ngram = max_ngram.max(words.len());
+            match def.ty {
+                ColumnType::Int | ColumnType::Float => {
+                    numeric.push(def.name.clone());
+                    numeric_cols.insert(words, def.name.clone());
+                }
+                ColumnType::Str => {
+                    categorical_cols.insert(words, def.name.clone());
+                    if let Some(dict) = table.column(i).dictionary() {
+                        for v in dict.entries() {
+                            let words: Vec<String> = v
+                                .split(|c: char| !c.is_alphanumeric())
+                                .filter(|w| !w.is_empty())
+                                .map(|w| w.to_ascii_lowercase())
+                                .collect();
+                            if words.is_empty() {
+                                continue;
+                            }
+                            max_ngram = max_ngram.max(words.len());
+                            constants
+                                .entry(words)
+                                .or_insert_with(|| (def.name.clone(), v.clone()));
                         }
-                        max_ngram = max_ngram.max(words.len());
-                        constants
-                            .entry(words)
-                            .or_insert_with(|| (def.name.clone(), v.clone()));
                     }
                 }
             }
         }
+        Phrases {
+            table: table.name().to_owned(),
+            numeric,
+            numeric_cols,
+            categorical_cols,
+            constants,
+            max_ngram,
+        }
     }
+}
+
+/// The most likely query for a non-empty token sequence, matched against
+/// `phrases`.
+pub(crate) fn interpret(phrases: &Phrases, tokens: &[String]) -> Query {
+    let func = detect_aggregate(tokens);
 
     // Greedy longest-match scan over token n-grams.
     #[derive(Debug)]
@@ -114,19 +157,19 @@ pub fn translate(utterance: &str, table: &Table) -> Result<Query, TranslateError
     let mut i = 0usize;
     while i < tokens.len() {
         let mut matched = 0usize;
-        for len in (1..=max_ngram.min(tokens.len() - i)).rev() {
-            let gram: Vec<String> = tokens[i..i + len].to_vec();
-            if let Some((col, v)) = constants.get(&gram) {
+        for len in (1..=phrases.max_ngram.min(tokens.len() - i)).rev() {
+            let gram = &tokens[i..i + len];
+            if let Some((col, v)) = phrases.constants.get(gram) {
                 mentions.push((i, Mention::Constant(col.clone(), v.clone())));
                 matched = len;
                 break;
             }
-            if let Some(col) = numeric_cols.get(&gram) {
+            if let Some(col) = phrases.numeric_cols.get(gram) {
                 mentions.push((i, Mention::NumericCol(col.clone())));
                 matched = len;
                 break;
             }
-            if let Some(col) = categorical_cols.get(&gram) {
+            if let Some(col) = phrases.categorical_cols.get(gram) {
                 mentions.push((i, Mention::CategoricalCol(col.clone())));
                 matched = len;
                 break;
@@ -157,23 +200,20 @@ pub fn translate(utterance: &str, table: &Table) -> Result<Query, TranslateError
             // name shares the most tokens with the utterance (a half-heard
             // "proposed stories" still selects proposed_stories), breaking
             // ties towards schema order.
-            let best_numeric = table
-                .schema()
-                .columns()
+            let best_numeric = phrases
+                .numeric
                 .iter()
-                .filter(|c| matches!(c.ty, ColumnType::Int | ColumnType::Float))
                 .enumerate()
-                .map(|(i, c)| {
-                    let overlap = c
-                        .name
+                .map(|(i, name)| {
+                    let overlap = name
                         .split('_')
                         .filter(|w| tokens.iter().any(|t| t.eq_ignore_ascii_case(w)))
                         .count();
-                    (c.name.clone(), overlap, i)
+                    (name, overlap, i)
                 })
                 // Highest overlap; ties break towards schema order.
                 .min_by_key(|(_, overlap, i)| (std::cmp::Reverse(*overlap), *i))
-                .map(|(name, _, _)| name);
+                .map(|(name, _, _)| name.clone());
             match best_numeric {
                 Some(c) => Aggregate::over(f, c),
                 None => Aggregate::count_star(),
@@ -252,12 +292,12 @@ pub fn translate(utterance: &str, table: &Table) -> Result<Query, TranslateError
         }
     }
 
-    Ok(Query {
-        table: table.name().to_owned(),
+    Query {
+        table: phrases.table.clone(),
         aggregates: vec![aggregate],
         predicates,
         group_by: Vec::new(),
-    })
+    }
 }
 
 /// Detect a comparison phrase among the tokens between a numeric-column
@@ -283,7 +323,7 @@ fn detect_comparison(between: &[String]) -> Option<CmpOp> {
 }
 
 fn detect_aggregate(tokens: &[String]) -> AggFunc {
-    for (i, t) in tokens.iter().enumerate() {
+    for t in tokens {
         match t.as_str() {
             "count" | "many" | "number" => return AggFunc::Count,
             "sum" | "total" => return AggFunc::Sum,
@@ -292,7 +332,6 @@ fn detect_aggregate(tokens: &[String]) -> AggFunc {
             "maximum" | "max" | "highest" | "largest" | "most" => return AggFunc::Max,
             _ => {}
         }
-        let _ = i;
     }
     AggFunc::Count
 }

@@ -100,26 +100,27 @@ impl PhoneticIndex {
         if candidate_ids.len() < k.min(self.entries.len()) {
             candidate_ids = (0..self.entries.len()).collect();
         }
-        let mut scored: Vec<PhoneticMatch> = candidate_ids
+        // Score and rank (entry, similarity) pairs; only the `k` survivors
+        // clone their text.
+        let mut scored: Vec<(usize, f64)> = candidate_ids
             .into_iter()
-            .map(|i| {
-                let (text, key) = &self.entries[i];
-                PhoneticMatch {
-                    entry: i,
-                    text: text.clone(),
-                    similarity: key_similarity(&probe_key, key),
-                }
-            })
-            .filter(|m| m.similarity >= min_similarity)
+            .map(|i| (i, key_similarity(&probe_key, &self.entries[i].1)))
+            .filter(|&(_, similarity)| similarity >= min_similarity)
             .collect();
         scored.sort_by(|a, b| {
-            b.similarity
-                .partial_cmp(&a.similarity)
+            b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.entry.cmp(&b.entry))
+                .then(a.0.cmp(&b.0))
         });
         scored.truncate(k);
         scored
+            .into_iter()
+            .map(|(entry, similarity)| PhoneticMatch {
+                entry,
+                text: self.entries[entry].0.clone(),
+                similarity,
+            })
+            .collect()
     }
 }
 

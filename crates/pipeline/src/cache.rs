@@ -8,8 +8,9 @@
 //! the keys, the byte estimates and the plan layer's offer rule:
 //!
 //! 1. **candidates** — canonical base-query fingerprint → scored
-//!    candidate distribution ([`CandidateKey`]); a hit skips the whole
-//!    phonetic beam search *and* the lazy phonetic-index build;
+//!    candidate distribution ([`CandidateKey`]); a hit skips the
+//!    phonetic top-k probes and the beam search (the phonetic indexes
+//!    themselves live in the session's [`muve_nlq::Lexicon`]);
 //! 2. **result** — canonical merged-query fingerprint + fidelity →
 //!    aggregate [`ResultSet`] ([`ResultKey`]), fronted by a [`SingleFlight`]
 //!    table so N concurrent identical misses execute once;

@@ -34,6 +34,7 @@ pub use budget::DeadlineBudget;
 pub use cache::{CachesReport, SessionCaches};
 pub use error::{PipelineError, Stage};
 pub use fault::{EscapedPanic, FaultInjector, StageFault};
+pub use muve_nlq::Lexicon;
 pub use muve_obs::FaultSpecError;
 pub use session::{
     DegradationEvent, DegradationTrace, Rung, Session, SessionConfig, SessionOutcome,

@@ -43,12 +43,12 @@ use muve_core::{
     ScreenConfig, UserCostModel,
 };
 use muve_dbms::{parse, predicate_order_fingerprint, query_fingerprint, Query, Table};
-use muve_nlq::{translate, CandidateGenerator, CandidateQuery};
+use muve_nlq::{CandidateQuery, Lexicon};
 use muve_obs::{CancelToken, MemBudget, MemPool, QuietPanics, SessionTrace};
 use muve_shard::ShardSet;
 use record::Run;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of one session.
@@ -193,10 +193,13 @@ impl TableRef<'_> {
 #[derive(Debug)]
 pub struct Session<'a> {
     table: TableRef<'a>,
-    /// Built on first use: a candidate-cache hit never needs the phonetic
-    /// index, so its construction cost (a scan of every dictionary) is
-    /// deferred until a generation actually runs.
-    generator: OnceLock<CandidateGenerator>,
+    /// `translate`'s n-gram tables and the candidate generator for
+    /// `table`. Each part is built on first use: a `select …` transcript
+    /// never needs the n-gram tables and a candidate-cache hit never needs
+    /// the phonetic indexes. Private to this session unless
+    /// [`with_lexicon`](Session::with_lexicon) attached one shared by
+    /// every session over the same table, so it is built once for all.
+    lexicon: Arc<Lexicon>,
     config: SessionConfig,
     injector: FaultInjector,
     caches: Option<Arc<SessionCaches>>,
@@ -216,7 +219,7 @@ impl<'a> Session<'a> {
     /// Build a session over `table`.
     pub fn new(table: &'a Table, config: SessionConfig) -> Session<'a> {
         Session {
-            generator: OnceLock::new(),
+            lexicon: Arc::new(Lexicon::new(table)),
             table: TableRef::Borrowed(table),
             config,
             injector: FaultInjector::none(),
@@ -232,7 +235,7 @@ impl<'a> Session<'a> {
     /// thread — the constructor the concurrent serving layer uses.
     pub fn shared(table: Arc<Table>, config: SessionConfig) -> Session<'static> {
         Session {
-            generator: OnceLock::new(),
+            lexicon: Arc::new(Lexicon::new(&table)),
             table: TableRef::Shared(table),
             config,
             injector: FaultInjector::none(),
@@ -246,6 +249,17 @@ impl<'a> Session<'a> {
     /// Thread a fault injector through every stage of this session.
     pub fn with_injector(mut self, injector: FaultInjector) -> Session<'a> {
         self.injector = injector;
+        self
+    }
+
+    /// Look utterances up in a shared [`Lexicon`], so its n-gram tables
+    /// and phonetic indexes are built once for every session that holds
+    /// it. A lexicon made for another table (a different
+    /// [`Table::fingerprint`]) is not used; the session keeps its own.
+    pub fn with_lexicon(mut self, lexicon: Arc<Lexicon>) -> Session<'a> {
+        if lexicon.serves(self.table.get()) {
+            self.lexicon = lexicon;
+        }
         self
     }
 
@@ -289,12 +303,6 @@ impl<'a> Session<'a> {
         &self.config
     }
 
-    /// The candidate generator, built on first use.
-    fn generator(&self) -> &CandidateGenerator {
-        self.generator
-            .get_or_init(|| CandidateGenerator::new(self.table.get()))
-    }
-
     /// The candidate distribution for `base`: cache lookup first, then
     /// phonetic generation (inserting the result on success). Returns the
     /// distribution and whether it came from the cache. A hit skips the
@@ -320,7 +328,8 @@ impl<'a> Session<'a> {
         }
         self.injector.trip(Stage::Candidates)?;
         let cq = self
-            .generator()
+            .lexicon
+            .generator(self.table.get())
             .try_candidates(base, self.config.k, self.config.max_candidates)
             .map_err(|e| PipelineError::Candidates(e.to_string()))?;
         let cq = Arc::new(cq);
@@ -400,7 +409,9 @@ impl<'a> Session<'a> {
             if t.to_ascii_lowercase().starts_with("select") {
                 parse(t).map_err(|e| PipelineError::Parse(e.to_string()))
             } else {
-                translate(t, self.table.get()).map_err(|e| PipelineError::Translate(e.to_string()))
+                self.lexicon
+                    .translate(t, self.table.get())
+                    .map_err(|e| PipelineError::Translate(e.to_string()))
             }
         });
         match translated {

@@ -7,8 +7,8 @@ use muve_obs::{
     CancelToken, MemPool,
 };
 use muve_pipeline::{
-    DeadlineBudget, FaultInjector, Session, SessionCaches, SessionConfig, SessionOutcome, Stage,
-    Visualization,
+    DeadlineBudget, FaultInjector, Lexicon, Session, SessionCaches, SessionConfig, SessionOutcome,
+    Stage, Visualization,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -546,6 +546,9 @@ struct ActiveReq {
 struct Shared {
     cfg: ServerConfig,
     table: Arc<Table>,
+    /// The lookup structures of `table`, shared by every worker session;
+    /// empty at startup, each part built by the first request needing it.
+    lexicon: Arc<Lexicon>,
     queue: Mutex<QueueState>,
     available: Condvar,
     /// One breaker per pipeline stage, indexed by [`Stage::index`].
@@ -598,6 +601,7 @@ impl Server {
         let shared = Arc::new(Shared {
             breakers: std::array::from_fn(|_| Breaker::new(cfg.breaker)),
             cfg,
+            lexicon: Arc::new(Lexicon::new(&table)),
             table,
             queue: Mutex::new(QueueState::default()),
             available: Condvar::new(),
@@ -681,6 +685,12 @@ impl Server {
         let ewma = self.shared.ewma_service_us.load(Ordering::Relaxed);
         let workers = self.shared.cfg.workers.max(1) as u64;
         Duration::from_micros(ewma.saturating_mul(queue_depth as u64 + 1) / workers)
+    }
+
+    /// The lexicon every worker session looks utterances up in: one per
+    /// server, built lazily by the first requests that need each part.
+    pub fn lexicon(&self) -> &Arc<Lexicon> {
+        &self.shared.lexicon
     }
 
     /// Exact request-level statistics for this server.
@@ -949,6 +959,7 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
         }
 
         let mut session = Session::shared(Arc::clone(&shared.table), config)
+            .with_lexicon(Arc::clone(&shared.lexicon))
             .with_injector(job.req.injector)
             .with_cancel(token);
         if let Some(set) = &shared.cfg.shards {

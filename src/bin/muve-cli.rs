@@ -54,7 +54,7 @@
 use muve::core::{render_svg, IlpConfig, Planner, ScreenConfig, UserCostModel};
 use muve::data::Dataset;
 use muve::dbms::{table_from_csv_path, ColumnType, Table};
-use muve::nlq::SpeechChannel;
+use muve::nlq::{Lexicon, SpeechChannel};
 use muve::pipeline::{
     FaultInjector, Session, SessionCaches, SessionConfig, SessionOutcome, Visualization,
 };
@@ -66,6 +66,9 @@ use std::time::Duration;
 
 struct Shell {
     table: Arc<Table>,
+    /// The loaded table's lookup structures, kept across questions and
+    /// replaced with the table.
+    lexicon: Arc<Lexicon>,
     screen: ScreenConfig,
     planner: Planner,
     model: UserCostModel,
@@ -91,6 +94,7 @@ impl Shell {
         let caches = Arc::new(SessionCaches::new(DEFAULT_CACHE_MB << 20));
         caches.set_table(&table);
         Shell {
+            lexicon: Arc::new(Lexicon::new(&table)),
             table: Arc::new(table),
             screen: ScreenConfig::desktop(2),
             planner: Planner::Greedy,
@@ -308,6 +312,7 @@ impl Shell {
             table.num_rows(),
             table.schema().len()
         );
+        self.lexicon = Arc::new(Lexicon::new(&table));
         self.table = Arc::new(table);
         // An active shard set partitions the old table; rebuild it over the
         // new one with the same topology. Either way the cache epoch moves
@@ -423,7 +428,9 @@ impl Shell {
             }
             return;
         }
-        let mut session = Session::new(&self.table, config).with_injector(self.injector.clone());
+        let mut session = Session::new(&self.table, config)
+            .with_lexicon(Arc::clone(&self.lexicon))
+            .with_injector(self.injector.clone());
         if let Some(caches) = &self.caches {
             session = session.with_caches(Arc::clone(caches));
         }
