@@ -15,7 +15,6 @@
 //! | `scan` | row-at-a-time vs morsel-driven batch scans | [`scan`] |
 //! | `shard` | replicated scatter-gather throughput & chaos | [`shard`] |
 //! | `index` | secondary-index probes vs scans across selectivities | [`index`] |
-//! | `heal` | self-healing recovery latency & live-resize cost | [`heal`] |
 
 pub mod ablation;
 pub mod cache;
@@ -26,7 +25,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod heal;
 pub mod index;
 pub mod scan;
 pub mod serve;
@@ -38,7 +36,7 @@ pub use common::ResultTable;
 /// All experiment ids accepted by the `expt` binary.
 pub const EXPERIMENTS: &[&str] = &[
     "table1", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-    "ablation", "cache", "serve", "scan", "shard", "index", "heal",
+    "ablation", "cache", "serve", "scan", "shard", "index",
 ];
 
 /// Run one experiment by id (fig3 is produced together with table1, and
@@ -58,7 +56,6 @@ pub fn run(id: &str, quick: bool) -> Option<Vec<ResultTable>> {
         "scan" => Some(scan::run(quick)),
         "shard" => Some(shard::run(quick)),
         "index" => Some(index::run(quick)),
-        "heal" => Some(heal::run(quick)),
         _ => None,
     }
 }

@@ -531,36 +531,11 @@ fn rejected_response(rej: &muve_serve::Rejected) -> Response {
 fn healthz(shared: &Shared) -> Response {
     let reasons = degraded_reasons(shared);
     let status = if reasons.is_empty() { 200 } else { 503 };
-    let mut body = json!({
+    let body = json!({
         "status": if reasons.is_empty() { "healthy" } else { "degraded" },
         "reasons": reasons,
     });
-    if let (Some(set), Value::Object(entries)) = (shared.server.shards(), &mut body) {
-        entries.push(("shards".to_string(), shard_health_json(set)));
-    }
     Response::json(status, &body)
-}
-
-/// Per-shard replica health, for `/healthz` and `/metrics`: the current
-/// layout, each shard's healthy-replica count, and the heal/resize
-/// ledger (so a probe can tell "degraded but healing" from "degraded
-/// and stuck").
-fn shard_health_json(set: &muve_shard::ShardSet) -> Value {
-    let s = set.stats().snapshot();
-    json!({
-        "shards": set.num_shards(),
-        "replicas": set.num_replicas(),
-        "epoch": set.epoch(),
-        "healer": set.healer_enabled(),
-        "healthy_replicas": (0..set.num_shards())
-            .map(|i| set.healthy_replicas(i))
-            .collect::<Vec<usize>>(),
-        "heals_started": s.heals_started,
-        "heals_completed": s.heals_completed,
-        "heals_failed": s.heals_failed,
-        "heals_in_flight": s.heals_in_flight(),
-        "resizes": s.resizes,
-    })
 }
 
 fn degraded_reasons(shared: &Shared) -> Vec<String> {
@@ -583,19 +558,6 @@ fn degraded_reasons(shared: &Shared) -> Vec<String> {
                 "memory pool exhausted: {used} of {} bytes",
                 shared.mem_cap_bytes
             ));
-        }
-    }
-    if let Some(set) = shared.server.shards() {
-        let want = set.num_replicas();
-        for s in 0..set.num_shards() {
-            let healthy = set.healthy_replicas(s);
-            if healthy < want {
-                reasons.push(format!("shard {s}: {healthy} of {want} replicas healthy"));
-            }
-        }
-        let heals = set.stats().snapshot().heals_in_flight();
-        if heals > 0 {
-            reasons.push(format!("shard heal in flight: {heals}"));
         }
     }
     reasons
@@ -637,15 +599,12 @@ fn metrics_snapshot(shared: &Shared) -> Response {
         "queue_depth": stats.queue_depth,
         "reconciles": stats.reconciles(),
     });
-    let mut body = json!({
+    let body = json!({
         "serve": serve,
         "counters": counters,
         "gauges": gauges,
         "histograms": histograms,
     });
-    if let (Some(set), Value::Object(entries)) = (shared.server.shards(), &mut body) {
-        entries.push(("shard".to_string(), shard_health_json(set)));
-    }
     Response::json(200, &body)
 }
 

@@ -21,10 +21,10 @@
 //! All three layers share one table epoch ([`Table::fingerprint`]):
 //! [`SessionCaches::set_table`] bumps it, lazily dropping every entry
 //! computed against the old data. The dbms-level inverted-index registry
-//! rides the same epoch machinery: each bundle remembers the table
-//! fingerprints it stamped and eagerly drops their indexes
-//! ([`muve_dbms::IndexRegistry::drop_tables`]) when a reload replaces
-//! them — the `index.stale_drops` counter records each such drop.
+//! rides the same epoch machinery: the epoch is the fingerprint of the
+//! table a bundle stamped last, and a reload that replaces it eagerly
+//! drops that table's indexes ([`muve_dbms::IndexRegistry::drop_tables`])
+//! — the `index.stale_drops` counter records each such drop.
 
 use muve_cache::{Cache, CacheStats, SingleFlight};
 use muve_core::{Candidate, PlanResult, ScreenConfig, UserCostModel};
@@ -32,7 +32,7 @@ use muve_dbms::{query_fingerprint, ResultSet, Table};
 use muve_nlq::CandidateQuery;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Candidate-layer key for one candidate-generation call.
 ///
@@ -149,7 +149,7 @@ const CANDIDATE_SHARE: f64 = 0.25;
 /// Crate code reads the layers directly, but inserts only through
 /// `insert_candidates`, `insert_result` and `offer_plan` (which own the
 /// byte estimates), and moves the shared epoch only through
-/// [`SessionCaches::set_table`] / [`SessionCaches::set_shards`].
+/// [`SessionCaches::set_table`].
 #[derive(Debug)]
 pub struct SessionCaches {
     pub(crate) candidates: Cache<CandidateKey, Arc<Vec<CandidateQuery>>>,
@@ -157,13 +157,12 @@ pub struct SessionCaches {
     pub(crate) plans: Cache<u64, PlanResult>,
     /// The single-flight table fronting the result layer.
     pub(crate) flights: SingleFlight<FlightKey, Arc<ResultSet>>,
+    /// The fingerprint of the table this bundle last stamped (0 before
+    /// the first stamp). On restamp with another table, that table's
+    /// inverted indexes are dropped from the process-wide registry. Only a
+    /// fingerprint *this* bundle stamped is ever dropped, so parallel
+    /// bundles (tests, multiple shells) never thrash each other's indexes.
     epoch: AtomicU64,
-    /// Table fingerprints this bundle last stamped — on restamp, any
-    /// fingerprint no longer current has its inverted indexes dropped
-    /// from the process-wide registry. Only fingerprints *this* bundle
-    /// stamped are ever dropped, so parallel bundles (tests, multiple
-    /// shells) never thrash each other's indexes.
-    index_fps: Mutex<Vec<u64>>,
 }
 
 impl SessionCaches {
@@ -180,7 +179,6 @@ impl SessionCaches {
             plans: Cache::new("plan", plans),
             flights: SingleFlight::new(),
             epoch: AtomicU64::new(0),
-            index_fps: Mutex::new(Vec::new()),
         }
     }
 
@@ -221,51 +219,20 @@ impl SessionCaches {
         }
     }
 
-    /// Stamp `epoch` into every layer and reconcile the index registry:
-    /// fingerprints this bundle stamped last time that are absent from
-    /// `fps` have their inverted indexes dropped eagerly (the registry is
-    /// process-wide and cannot see table reloads on its own).
-    fn restamp(&self, epoch: u64, fps: Vec<u64>) {
-        self.epoch.store(epoch, Ordering::Release);
-        self.candidates.set_epoch(epoch);
-        self.results.set_epoch(epoch);
-        self.plans.set_epoch(epoch);
-        let mut stamped = self.index_fps.lock().unwrap();
-        let stale: Vec<u64> = stamped
-            .iter()
-            .copied()
-            .filter(|fp| !fps.contains(fp))
-            .collect();
-        *stamped = fps;
-        drop(stamped);
-        if !stale.is_empty() {
-            muve_dbms::index_registry().drop_tables(&stale);
-        }
-    }
-
     /// Stamp the current table: every layer's epoch becomes the table's
     /// content fingerprint, lazily invalidating entries from other epochs.
     /// Inverted indexes built for the previously stamped table are dropped
-    /// from the [`muve_dbms::IndexRegistry`].
+    /// eagerly from the [`muve_dbms::IndexRegistry`] (the registry is
+    /// process-wide and cannot see table reloads on its own).
     pub fn set_table(&self, table: &Table) {
         let fp = table.fingerprint();
-        self.restamp(fp, vec![fp]);
-    }
-
-    /// Stamp the caches from a shard set instead of a bare table: the
-    /// epoch becomes the combined shard epoch — a hash over every shard
-    /// table's content fingerprint plus the shard count. Reloading even a
-    /// single shard's data (or changing the partition layout) moves the
-    /// epoch, so no entry computed against the old shards is ever served.
-    /// Indexes for previously stamped tables (parent or per-shard) that
-    /// are not part of the new set are dropped from the registry.
-    pub fn set_shards(&self, shards: &muve_shard::ShardSet) {
-        let mut fps = Vec::with_capacity(shards.num_shards() + 1);
-        fps.push(shards.parent().fingerprint());
-        for s in 0..shards.num_shards() {
-            fps.push(shards.shard_table(s).fingerprint());
+        let stale = self.epoch.swap(fp, Ordering::AcqRel);
+        self.candidates.set_epoch(fp);
+        self.results.set_epoch(fp);
+        self.plans.set_epoch(fp);
+        if stale != 0 && stale != fp {
+            muve_dbms::index_registry().drop_tables(&[stale]);
         }
-        self.restamp(shards.epoch(), fps);
     }
 
     /// The current table epoch.
@@ -476,28 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn set_shards_stamps_combined_shard_epoch() {
-        use muve_shard::{ShardSet, ShardSpec};
-        use std::sync::Arc;
-
-        let caches = SessionCaches::new(1 << 20);
-        let t = Arc::new(table(1));
-        let set = ShardSet::build(Arc::clone(&t), ShardSpec::new(2, 1));
-        caches.set_shards(&set);
-        assert_eq!(caches.epoch(), set.epoch());
-        assert_ne!(
-            caches.epoch(),
-            t.fingerprint(),
-            "shard epoch is layout-aware, not the parent fingerprint"
-        );
-        // A different layout over the same data is a different epoch.
-        let other = ShardSet::build(Arc::clone(&t), ShardSpec::new(3, 1));
-        caches.set_shards(&other);
-        assert_eq!(caches.epoch(), other.epoch());
-        assert_ne!(set.epoch(), other.epoch());
-    }
-
-    #[test]
     fn set_table_drops_stale_indexes() {
         use muve_dbms::{index_registry, ExecOptions};
 
@@ -527,31 +472,6 @@ mod tests {
         caches.set_table(&b);
         assert!(index_registry().has_table(b.fingerprint()));
         index_registry().drop_tables(&[b.fingerprint()]);
-    }
-
-    #[test]
-    fn set_shards_tracks_parent_and_shard_indexes() {
-        use muve_dbms::{index_registry, ExecOptions};
-        use muve_shard::{ShardSet, ShardSpec};
-        use std::sync::Arc;
-
-        let caches = SessionCaches::new(1 << 20);
-        let t = Arc::new(table(20));
-        let set = ShardSet::build(Arc::clone(&t), ShardSpec::new(2, 1));
-        caches.set_shards(&set);
-        let shard_fp = set.shard_table(0).fingerprint();
-        index_registry()
-            .get_or_build(&set.shard_table(0), "k", &ExecOptions::default())
-            .unwrap();
-        assert!(index_registry().has_table(shard_fp));
-
-        // Replacing the shard set with a plain table drops shard indexes.
-        let replacement = table(21);
-        caches.set_table(&replacement);
-        assert!(
-            !index_registry().has_table(shard_fp),
-            "shard reload must evict per-shard indexes"
-        );
     }
 
     #[test]

@@ -15,9 +15,7 @@ use muve_dbms::{
     ResultSet, ScanRequest, ScanRows,
 };
 use muve_obs::CancelCause;
-use muve_shard::ShardExecOptions;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One execution attempt over the shown candidates: what it runs (the
 /// shown queries at one fidelity) and what it has produced so far.
@@ -36,10 +34,6 @@ struct ExecAttempt<'a> {
     member_errors: Vec<PipelineError>,
     /// Rows scanned across every query this attempt ran.
     rows_scanned: usize,
-    /// Shard sub-results lost to degraded gathers across this attempt's
-    /// queries (always 0 on the single-table path). Any non-zero count
-    /// marks the attempt's values as scaled estimates.
-    partial_shards: usize,
 }
 
 impl ExecAttempt<'_> {
@@ -119,7 +113,6 @@ impl Session<'_> {
             labels.push(label.clone());
             match attempt {
                 Ok(a) => {
-                    let partial_shards = a.partial_shards;
                     let produced = a.values.iter().any(|(_, v)| v.is_some());
                     let was_cancelled = a
                         .member_errors
@@ -139,7 +132,7 @@ impl Session<'_> {
                         for (idx, v) in a.values {
                             results[idx] = v;
                         }
-                        approximate = (fraction.is_some() || partial_shards > 0) && produced;
+                        approximate = fraction.is_some() && produced;
                         any_success = any_success || produced;
                         if any_success
                             || rescued
@@ -188,19 +181,6 @@ impl Session<'_> {
                     approximate = fraction.is_some();
                     any_success = true;
                     run.note(st, format!("executed ({label})"));
-                    if partial_shards > 0 {
-                        // Lost shards: the values on screen are coverage-
-                        // scaled estimates even on the "exact" fidelity.
-                        approximate = true;
-                        run.note(
-                            st,
-                            format!(
-                                "partial shard gather ({partial_shards} sub-result{} missing); \
-                                 values are scaled estimates",
-                                if partial_shards == 1 { "" } else { "s" }
-                            ),
-                        );
-                    }
                     if fraction.is_none() {
                         break;
                     }
@@ -229,42 +209,23 @@ impl Session<'_> {
         (results, approximate)
     }
 
-    /// Execute one query at one fidelity (`None` = exact, `Some(f)` = the
-    /// systematic `f` sample) through whichever backend is attached: the
-    /// shard set (scatter-gather with failover, bounded by
-    /// `gather_budget`, degrading to a coverage-scaled estimate on lost
-    /// shards) or the single table. Same row ids, same realized fraction,
-    /// same scaling either way. Returns the result plus the number of
-    /// shards missing from it (0 on the single-table path and on full
-    /// gathers).
+    /// Execute one query against the session's table at one fidelity
+    /// (`None` = exact, `Some(f)` = the systematic `f` sample, seeded by
+    /// the session config).
     fn run_query(
         &self,
         query: &Query,
         fraction: Option<f64>,
         opts: ExecOptions<'_>,
-        gather_budget: Option<Duration>,
-    ) -> Result<(ResultSet, usize), ExecError> {
-        let seed = self.config.seed;
-        let Some(set) = &self.shards else {
-            let rows = match fraction {
-                None => ScanRows::All,
-                Some(fraction) => ScanRows::Sample { fraction, seed },
-            };
-            let rs = ScanRequest::new(rows, opts).run(self.table.get(), query)?;
-            return Ok((rs, 0));
+    ) -> Result<ResultSet, ExecError> {
+        let rows = match fraction {
+            None => ScanRows::All,
+            Some(fraction) => ScanRows::Sample {
+                fraction,
+                seed: self.config.seed,
+            },
         };
-        let shard_opts = ShardExecOptions {
-            cancel: opts.cancel,
-            mem: opts.mem,
-            budget: gather_budget,
-            allow_partial: true,
-        };
-        let sr = match fraction {
-            None => set.execute(query, shard_opts)?,
-            Some(f) => set.execute_sampled(query, f, seed, shard_opts)?.0,
-        };
-        let missing = sr.report.missing();
-        Ok((sr.result, missing))
+        ScanRequest::new(rows, opts).run(self.table.get(), query)
     }
 
     /// One execution attempt at a fixed fidelity: every merge group of the
@@ -284,7 +245,6 @@ impl Session<'_> {
             values: Vec::new(),
             member_errors: Vec::new(),
             rows_scanned: 0,
-            partial_shards: 0,
         };
         for g in plan_merged(&out.queries) {
             self.execute_group(&g, run, opts, &mut out);
@@ -347,19 +307,11 @@ impl Session<'_> {
                 }
             }
         }
-        // The gather is bounded by what is left of θ exactly when the
-        // attempt carries the token: the rescue attempt runs without both.
-        let gather_budget = opts.cancel.map(|_| run.budget.remaining());
-        match self.run_query(&g.merged, fraction, opts, gather_budget) {
-            Ok((rs, missing)) => {
+        match self.run_query(&g.merged, fraction, opts) {
+            Ok(rs) => {
                 out.rows_scanned += rs.stats.rows_scanned;
-                out.partial_shards += missing;
                 out.extract(&rs, g);
-                // A degraded gather is this request's answer, not
-                // everyone's: never cache it, and let the dropped leader
-                // publish the flight as failed so waiters execute for
-                // themselves (their own gather may be whole).
-                if let (Some((lead, caches, key)), 0) = (lead, missing) {
+                if let Some((lead, caches, key)) = lead {
                     let rs = Arc::new(rs);
                     // Insert before publishing the flight, so a request
                     // arriving after the flight resolves finds the entry
@@ -394,10 +346,9 @@ impl Session<'_> {
     /// Per-member separate execution after a merged failure.
     fn separate_fallback(&self, g: &MergeGroup, opts: ExecOptions<'_>, out: &mut ExecAttempt<'_>) {
         for m in &g.members {
-            match self.run_query(&out.queries[m.index], None, opts, None) {
-                Ok((rs, missing)) => {
+            match self.run_query(&out.queries[m.index], None, opts) {
+                Ok(rs) => {
                     out.rows_scanned += rs.stats.rows_scanned;
-                    out.partial_shards += missing;
                     out.values.push((out.shown[m.index], rs.scalar()));
                 }
                 Err(e) => {

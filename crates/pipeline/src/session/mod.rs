@@ -45,7 +45,6 @@ use muve_core::{
 use muve_dbms::{parse, predicate_order_fingerprint, query_fingerprint, Query, Table};
 use muve_nlq::{CandidateQuery, Lexicon};
 use muve_obs::{CancelToken, MemBudget, MemPool, QuietPanics, SessionTrace};
-use muve_shard::ShardSet;
 use record::Run;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -208,11 +207,6 @@ pub struct Session<'a> {
     cancel: Option<CancelToken>,
     /// Process-wide memory pool charged alongside the per-request cap.
     mem_pool: Option<Arc<MemPool>>,
-    /// Replicated shard backend; when attached, every query this session
-    /// executes goes through scatter-gather instead of the single-table
-    /// path (the unsharded answer on full gathers, degrading to typed
-    /// scaled estimates when shards are lost).
-    shards: Option<Arc<ShardSet>>,
 }
 
 impl<'a> Session<'a> {
@@ -226,7 +220,6 @@ impl<'a> Session<'a> {
             caches: None,
             cancel: None,
             mem_pool: None,
-            shards: None,
         }
     }
 
@@ -242,7 +235,6 @@ impl<'a> Session<'a> {
             caches: None,
             cancel: None,
             mem_pool: None,
-            shards: None,
         }
     }
 
@@ -285,16 +277,6 @@ impl<'a> Session<'a> {
     /// [`mem_cap_bytes`](SessionConfig::mem_cap_bytes) cap.
     pub fn with_mem_pool(mut self, pool: Arc<MemPool>) -> Session<'a> {
         self.mem_pool = Some(pool);
-        self
-    }
-
-    /// Route execution through a replicated shard set instead of the
-    /// single-table path. The set must have been built over this session's
-    /// table. Full gathers answer as unsharded execution does; lost
-    /// shards degrade the run to coverage-scaled estimates (flagged
-    /// `approximate`, with a degradation event) rather than failing it.
-    pub fn with_shards(mut self, shards: Arc<ShardSet>) -> Session<'a> {
-        self.shards = Some(shards);
         self
     }
 

@@ -85,13 +85,6 @@ pub struct ServerConfig {
     /// smooth weighted round-robin — so one tenant flooding its lane can
     /// neither evict nor starve another tenant's requests.
     pub lane_weights: Vec<(String, u32)>,
-    /// Sharded execution backend. When set, every worker session runs
-    /// aggregates by scatter-gather over this [`muve_shard::ShardSet`]
-    /// (replica failover, self-healing and live resizes
-    /// included) instead of scanning `table` directly; the caches, if
-    /// any, are stamped with the set's combined shard epoch. The set
-    /// must be built over the same table the server serves.
-    pub shards: Option<Arc<muve_shard::ShardSet>>,
 }
 
 impl Default for ServerConfig {
@@ -105,7 +98,6 @@ impl Default for ServerConfig {
             watchdog: true,
             mem_cap_mb: 0,
             lane_weights: Vec::new(),
-            shards: None,
         }
     }
 }
@@ -591,10 +583,7 @@ impl Server {
     pub fn new(table: Arc<Table>, cfg: ServerConfig) -> Server {
         let workers = cfg.workers.max(1);
         if let Some(caches) = &cfg.caches {
-            match &cfg.shards {
-                Some(set) => caches.set_shards(set),
-                None => caches.set_table(&table),
-            }
+            caches.set_table(&table);
         }
         let mem_pool = (cfg.mem_cap_mb > 0)
             .then(|| Arc::new(MemPool::new(cfg.mem_cap_mb * workers * 1024 * 1024)));
@@ -711,12 +700,6 @@ impl Server {
     /// The circuit-breaker state of one pipeline stage.
     pub fn breaker_state(&self, stage: Stage) -> BreakerState {
         self.shared.breakers[stage.index()].state()
-    }
-
-    /// The sharded execution backend, if one was configured — health
-    /// surfaces (`/healthz`, `/metrics`) read replica state through this.
-    pub fn shards(&self) -> Option<&Arc<muve_shard::ShardSet>> {
-        self.shared.cfg.shards.as_ref()
     }
 
     /// Gracefully drain: stop admitting, let the workers finish every
@@ -962,9 +945,6 @@ fn worker_loop(shared: &Shared, worker_id: usize) {
             .with_lexicon(Arc::clone(&shared.lexicon))
             .with_injector(job.req.injector)
             .with_cancel(token);
-        if let Some(set) = &shared.cfg.shards {
-            session = session.with_shards(Arc::clone(set));
-        }
         if let Some(caches) = &shared.cfg.caches {
             session = session.with_caches(Arc::clone(caches));
         }

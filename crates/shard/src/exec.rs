@@ -29,7 +29,7 @@
 //!   same arithmetic the sampling ladder uses.
 
 use crate::fault::{FaultKind, ShardFaultInjector};
-use crate::set::{ReplicaCore, ShardSet, Topology};
+use crate::set::{Replica, ShardSet};
 use crate::stats::ShardStats;
 use muve_dbms::Table;
 use muve_dbms::{
@@ -134,7 +134,7 @@ pub struct ShardedResult {
 }
 
 /// Knobs of one sharded execution.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ShardExecOptions<'a> {
     /// Caller cancellation, polled by the gather and propagated into every
     /// sub-query token.
@@ -144,25 +144,11 @@ pub struct ShardExecOptions<'a> {
     /// Wall-clock budget for the whole gather; sub-query tokens carry the
     /// derived deadline so stragglers self-cancel.
     pub budget: Option<Duration>,
-    /// Accept a degraded (scaled, annotated) answer when shards are lost.
-    /// When `false`, any missing shard fails the query instead.
-    pub allow_partial: bool,
-}
-
-impl Default for ShardExecOptions<'_> {
-    fn default() -> ShardExecOptions<'static> {
-        ShardExecOptions {
-            cancel: None,
-            mem: None,
-            budget: None,
-            allow_partial: true,
-        }
-    }
 }
 
 /// Map global sorted row ids onto a shard's local row indexes by merge
 /// intersection with its (sorted) global id list.
-pub fn local_selection(shard_rows: &[u32], ids: &[u32]) -> Vec<u32> {
+pub(crate) fn local_selection(shard_rows: &[u32], ids: &[u32]) -> Vec<u32> {
     let mut out = Vec::new();
     let (mut i, mut j) = (0usize, 0usize);
     while i < shard_rows.len() && j < ids.len() {
@@ -179,24 +165,23 @@ pub fn local_selection(shard_rows: &[u32], ids: &[u32]) -> Vec<u32> {
     out
 }
 
-/// One sub-query handed to a replica worker (fields are crate-visible so
-/// the healer can hand-build its warm-up probe).
+/// One sub-query handed to a replica worker.
 #[derive(Debug)]
 pub(crate) struct Job {
-    pub(crate) query: Arc<Query>,
-    pub(crate) selection: Option<Arc<Vec<u32>>>,
-    pub(crate) cancel: CancelToken,
+    query: Arc<Query>,
+    selection: Option<Arc<Vec<u32>>>,
+    cancel: CancelToken,
     /// Holds the replica breaker's single probe slot.
-    pub(crate) probe: bool,
-    pub(crate) reply_tx: mpsc::Sender<Reply>,
+    probe: bool,
+    reply_tx: mpsc::Sender<Reply>,
 }
 
 /// A worker's answer.
 #[derive(Debug)]
-pub(crate) struct Reply {
-    pub(crate) shard: usize,
-    pub(crate) replica: usize,
-    pub(crate) result: Result<QueryPartials, ExecError>,
+struct Reply {
+    shard: usize,
+    replica: usize,
+    result: Result<QueryPartials, ExecError>,
 }
 
 /// Replica worker loop: drain jobs until the set drops the queue. The
@@ -262,15 +247,6 @@ fn run_job(
             return Err(ExecError::Unavailable(format!(
                 "injected: replica {shard}.{replica} down"
             )))
-        }
-        Some(FaultKind::DownUntilHealed) => {
-            // The replica takes itself out for good: the dead flag makes
-            // every subsequent sub-query fail fast, and the healer (if
-            // running) notices the flag and re-replicates the position.
-            dead.store(true, Ordering::SeqCst);
-            return Err(ExecError::Unavailable(format!(
-                "injected: replica {shard}.{replica} down until healed"
-            )));
         }
         Some(FaultKind::Error) => {
             return Err(ExecError::Unavailable(format!(
@@ -358,8 +334,7 @@ struct GatherShard {
 }
 
 /// One gather's fixed inputs: what every dispatch of it carries.
-struct Gather<'a> {
-    topo: &'a Topology,
+struct Gather {
     query: Arc<Query>,
     selections: Option<Vec<Arc<Vec<u32>>>>,
     reply_tx: mpsc::Sender<Reply>,
@@ -368,16 +343,11 @@ struct Gather<'a> {
 
 impl ShardSet {
     /// Execute `query` across the shards, exactly when every shard
-    /// answers, degrading to a typed scaled estimate when some don't (and
-    /// `allow_partial` permits). A full gather answers as a
-    /// [`muve_dbms::ScanRows::All`] request against the parent table
-    /// does: bit-identical when every float sum is exact (integers,
-    /// dyadic rationals), within about 15 significant digits otherwise —
-    /// shards add their floats in a different order.
-    ///
-    /// The gather snapshots the topology once at entry (the epoch fence):
-    /// a concurrent [`resize`](ShardSet::resize) or healer core-swap
-    /// never hands a running query a half-switched layout.
+    /// answers, degrading to a typed scaled estimate when some don't. A
+    /// full gather answers as a [`muve_dbms::ScanRows::All`] request
+    /// against the parent table does: bit-identical when every float sum
+    /// is exact (integers, dyadic rationals), within about 15 significant
+    /// digits otherwise — shards add their floats in a different order.
     pub fn execute(
         &self,
         query: &Query,
@@ -386,9 +356,8 @@ impl ShardSet {
         // Deterministic query errors (unknown column, type mismatch) are
         // the caller's bug, not a replica fault: surface them before any
         // dispatch so they never trip breakers or burn failovers.
-        validate_query(&self.inner.parent, query)?;
-        let topo = self.inner.topology();
-        let (partials, report) = self.scatter_gather(&topo, query, None, &opts);
+        validate_query(&self.parent, query)?;
+        let (partials, report) = self.scatter_gather(query, None, &opts);
         let scale = report.coverage();
         self.finish(query, partials, report, &opts, scale)
     }
@@ -407,14 +376,15 @@ impl ShardSet {
         seed: u64,
         opts: ShardExecOptions<'_>,
     ) -> Result<(ShardedResult, f64), ExecError> {
-        validate_query(&self.inner.parent, query)?;
-        let topo = self.inner.topology();
-        let n = self.inner.parent.num_rows();
+        validate_query(&self.parent, query)?;
+        let n = self.parent.num_rows();
         let ids = systematic_rows(n, fraction, seed);
-        let selections: Vec<Arc<Vec<u32>>> = (0..topo.num_shards())
-            .map(|s| Arc::new(local_selection(&topo.shards[s].rows, &ids)))
+        let selections: Vec<Arc<Vec<u32>>> = self
+            .shards
+            .iter()
+            .map(|shard| Arc::new(local_selection(&shard.rows, &ids)))
             .collect();
-        let (partials, report) = self.scatter_gather(&topo, query, Some(selections), &opts);
+        let (partials, report) = self.scatter_gather(query, Some(selections), &opts);
         let realized = if n == 0 {
             1.0
         } else {
@@ -425,36 +395,34 @@ impl ShardSet {
         Ok((sr, realized))
     }
 
-    /// Scatter one sub-query per shard of `topo`, ride failovers, and
+    /// Scatter one sub-query per shard, ride failovers, and
     /// return whatever partials arrived plus the per-shard outcome
     /// ledger. Never fails: lost shards become typed
     /// [`ShardOutcome::Missing`] entries.
     fn scatter_gather(
         &self,
-        topo: &Topology,
         query: &Query,
         selections: Option<Vec<Arc<Vec<u32>>>>,
         opts: &ShardExecOptions<'_>,
     ) -> (Vec<Option<QueryPartials>>, GatherReport) {
-        let n_shards = topo.num_shards();
+        let n_shards = self.num_shards();
         let started = Instant::now();
         let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
         let g = Gather {
-            topo,
             query: Arc::new(query.clone()),
             selections,
             reply_tx,
             deadline: opts.budget.map(|b| started + b),
         };
-        self.inner.stats.gathers.incr();
-        self.inner.stats.fanout.record(n_shards as u64);
+        self.stats.gathers.incr();
+        self.stats.fanout.record(n_shards as u64);
 
         let mut gss: Vec<GatherShard> = (0..n_shards)
-            .map(|_| GatherShard {
+            .map(|s| GatherShard {
                 partials: None,
                 outcome: None,
                 inflight: None,
-                tried: vec![false; topo.num_replicas()],
+                tried: vec![false; self.replicas[s].len()],
             })
             .collect();
         let mut unresolved = n_shards;
@@ -490,14 +458,12 @@ impl ShardSet {
 
         let weights: Vec<u64> = match &g.selections {
             Some(sel) => sel.iter().map(|s| s.len() as u64).collect(),
-            None => (0..n_shards)
-                .map(|s| topo.shards[s].rows.len() as u64)
-                .collect(),
+            None => self.shards.iter().map(|s| s.rows.len() as u64).collect(),
         };
         let rows_total = match &g.selections {
             // Sampled gathers report coverage against the parent row count
             // so `coverage()` is the realized sample fraction.
-            Some(_) => self.inner.parent.num_rows() as u64,
+            Some(_) => self.parent.num_rows() as u64,
             None => weights.iter().sum(),
         };
         let mut rows_served = 0u64;
@@ -515,7 +481,7 @@ impl ShardSet {
             outcomes.push(outcome);
             partials.push(gs.partials.take());
         }
-        let stats = &self.inner.stats;
+        let stats = &self.stats;
         stats.shards_served.add(served as u64);
         stats.shards_missing.add((n_shards - served) as u64);
         if 0 < served && served < n_shards {
@@ -538,14 +504,14 @@ impl ShardSet {
     /// queue was full, `AllReplicasDown` otherwise.
     fn dispatch(
         &self,
-        g: &Gather<'_>,
+        g: &Gather,
         s: usize,
         gs: &mut GatherShard,
         mut failover: bool,
     ) -> Result<(), MissingCause> {
         let mut shed_any = false;
         loop {
-            let Some((r, core, probe)) = self.pick_replica(g.topo, s, &gs.tried) else {
+            let Some((r, replica, probe)) = self.pick_replica(s, &gs.tried) else {
                 return Err(if shed_any {
                     MissingCause::Overloaded
                 } else {
@@ -554,10 +520,10 @@ impl ShardSet {
             };
             gs.tried[r] = true;
             // Ledger: a shard's first dispatch is its one scatter term and
-            // every later one a failover (heal probes carry their own
-            // term), so `dispatched == gathers·shards + failovers + heal_probes`.
+            // every later one a failover, so
+            // `dispatched == gathers·shards + failovers`.
             if failover {
-                self.inner.stats.failovers.incr();
+                self.stats.failovers.incr();
             }
             failover = true;
             let token = g
@@ -571,8 +537,8 @@ impl ShardSet {
                 probe,
                 reply_tx: g.reply_tx.clone(),
             };
-            self.inner.stats.dispatched.incr();
-            match core.tx.try_send(job) {
+            self.stats.dispatched.incr();
+            match replica.tx.try_send(job) {
                 Ok(()) => {
                     gs.inflight = Some(token);
                     return Ok(());
@@ -584,14 +550,14 @@ impl ShardSet {
                     // like failed sub-queries would — and try the next
                     // replica.
                     shed_any = true;
-                    let stats = &self.inner.stats;
+                    let stats = &self.stats;
                     stats.replica_queue_shed.incr();
                     stats.rejects.incr();
-                    stats.breaker_moved(core.health.record(false, Instant::now()));
+                    stats.breaker_moved(replica.health.record(false, Instant::now()));
                 }
                 Err(mpsc::TrySendError::Disconnected(_)) => {
-                    // The worker retired (topology teardown mid-gather).
-                    self.inner.stats.rejects.incr();
+                    // The worker thread is gone.
+                    self.stats.rejects.incr();
                 }
             }
         }
@@ -599,41 +565,33 @@ impl ShardSet {
 
     /// Route one sub-query: a probe-eligible suspect first (single-probe
     /// recovery), then healthy replicas in rotation (read load-balancing),
-    /// then any untried suspect as a last resort. Returns the slot's
-    /// current core alongside the index so the caller sends to the same
-    /// core it inspected even across a concurrent heal swap, and whether
-    /// the pick holds that core's probe slot.
-    fn pick_replica(
-        &self,
-        topo: &Topology,
-        s: usize,
-        tried: &[bool],
-    ) -> Option<(usize, Arc<ReplicaCore>, bool)> {
-        let cores: Vec<Arc<ReplicaCore>> =
-            topo.replicas[s].iter().map(|slot| slot.core()).collect();
+    /// then any untried suspect as a last resort. Returns the replica's
+    /// index, the replica, and whether the pick holds its probe slot.
+    fn pick_replica(&self, s: usize, tried: &[bool]) -> Option<(usize, &Replica, bool)> {
+        let replicas = &self.replicas[s];
         let now = Instant::now();
-        for (r, core) in cores.iter().enumerate() {
-            if !tried[r] && core.health.try_probe(now) {
-                self.inner.stats.replica_probes.incr();
-                return Some((r, Arc::clone(core), true));
+        for (r, replica) in replicas.iter().enumerate() {
+            if !tried[r] && replica.health.try_probe(now) {
+                self.stats.replica_probes.incr();
+                return Some((r, replica, true));
             }
         }
-        let start = topo.rr[s].fetch_add(1, Ordering::Relaxed);
-        for k in 0..cores.len() {
-            let r = (start + k) % cores.len();
-            if !tried[r] && cores[r].health.is_closed() {
-                return Some((r, Arc::clone(&cores[r]), false));
+        let start = self.rr[s].fetch_add(1, Ordering::Relaxed);
+        for k in 0..replicas.len() {
+            let r = (start + k) % replicas.len();
+            if !tried[r] && replicas[r].health.is_closed() {
+                return Some((r, &replicas[r], false));
             }
         }
         tried
             .iter()
             .position(|&t| !t)
-            .map(|r| (r, Arc::clone(&cores[r]), false))
+            .map(|r| (r, &replicas[r], false))
     }
 
     /// Fold shard `s`'s reply into its gather state, failing over on a
     /// typed failure. Returns whether the shard is now resolved.
-    fn absorb_reply(&self, g: &Gather<'_>, s: usize, gs: &mut GatherShard, reply: Reply) -> bool {
+    fn absorb_reply(&self, g: &Gather, s: usize, gs: &mut GatherShard, reply: Reply) -> bool {
         gs.inflight = None;
         let cause = match reply.result {
             Ok(p) => {
@@ -673,7 +631,7 @@ impl ShardSet {
         scale: f64,
     ) -> Result<ShardedResult, ExecError> {
         let served: Vec<QueryPartials> = partials.into_iter().flatten().collect();
-        if served.is_empty() || (!opts.allow_partial && report.is_partial()) {
+        if served.is_empty() {
             return Err(gather_error(&report));
         }
         let exec_opts = ExecOptions {
@@ -681,7 +639,7 @@ impl ShardSet {
             mem: opts.mem,
             progress: None,
         };
-        let combined = combine_partials(&self.inner.parent, query, served, exec_opts)?;
+        let combined = combine_partials(&self.parent, query, served, exec_opts)?;
         let result = scale_result(combined, query, scale);
         Ok(ShardedResult { result, report })
     }
@@ -698,9 +656,9 @@ fn resolve_rest(gss: &mut [GatherShard], cause: MissingCause) {
     }
 }
 
-/// The typed error for a gather that could not (or was not allowed to)
-/// produce an answer: the caller giving up is [`ExecError::Cancelled`],
-/// the backends giving out is [`ExecError::Unavailable`].
+/// The typed error for a gather that could not produce an answer: the
+/// caller giving up is [`ExecError::Cancelled`], the backends giving out
+/// is [`ExecError::Unavailable`].
 fn gather_error(report: &GatherReport) -> ExecError {
     let gave_up = report.outcomes.iter().any(|o| {
         matches!(
@@ -824,18 +782,6 @@ mod tests {
             ref v => panic!("{v:?}"),
         };
         assert!((est - truth).abs() / truth < 0.15, "est {est} vs {truth}");
-        // Strict mode refuses the same degraded answer.
-        let strict = set.execute(
-            q,
-            ShardExecOptions {
-                allow_partial: false,
-                ..ShardExecOptions::default()
-            },
-        );
-        assert!(
-            matches!(strict, Err(ExecError::Unavailable(_))),
-            "{strict:?}"
-        );
     }
 
     #[test]
@@ -896,7 +842,13 @@ mod tests {
     #[test]
     fn cancelled_probe_hands_back_its_probe_slot() {
         let t = table(500);
-        let set = ShardSet::build(Arc::clone(&t), ShardSpec::new(1, 2));
+        // Replica 0 answers 500 ms late: a 50 ms gather cancels its probe,
+        // an unbounded one waits it out.
+        let set = ShardSet::build_with_faults(
+            Arc::clone(&t),
+            ShardSpec::new(1, 2),
+            ShardFaultInjector::parse("0.0:latency=500").unwrap(),
+        );
         let q = &queries()[0];
         // Trip replica 0: its failures fail over to replica 1.
         set.kill_replica(0, 0);
@@ -910,8 +862,6 @@ mod tests {
         // After the cooldown the next gather probes replica 0, and the
         // probe is cancelled by the gather deadline.
         set.revive_replica(0, 0);
-        let faults = set.fault_injector();
-        faults.set_dynamic(0, 0, FaultKind::Latency(Duration::from_millis(500)));
         std::thread::sleep(crate::set::REPLICA_BREAKER.cooldown + Duration::from_millis(50));
         let probes = set.stats().snapshot().replica_probes;
         let _ = set.execute(
@@ -924,7 +874,6 @@ mod tests {
         assert!(set.quiesce(Duration::from_secs(5)), "latency unwinds");
         assert_eq!(set.stats().snapshot().replica_probes, probes + 1);
         // The slot came back: a later gather probes again and closes it.
-        faults.clear_dynamic(0, 0);
         let give_up = Instant::now() + Duration::from_secs(5);
         while !set.replica_healthy(0, 0) && Instant::now() < give_up {
             set.execute(q, ShardExecOptions::default()).unwrap();

@@ -13,27 +13,17 @@
 //! worker, contained by its catch_unwind), `stall` (hold the sub-query
 //! until its token fires or the stall cap elapses, then fail), `down`
 //! (replica refuses work — the "killed replica" of the chaos suites),
-//! `down_until_healed` (the replica marks itself dead and stays dead
-//! until the healer replaces it — the fault the self-healing suites
-//! arm), or `latency=MS` (sleep, then execute normally). Without `@p=`,
+//! or `latency=MS` (sleep, then execute normally). Without `@p=`,
 //! a clause fires on every matching sub-query (`p=1`); with it, each
 //! sub-query draws from a seeded RNG, so chaos runs replay exactly.
 //!
 //! Examples: `*.0:down` (first replica of every shard is dead),
 //! `2.1:panic@p=0.5` (replica 1 of shard 2 panics on half its work),
 //! `*.*:latency=5@p=0.1` (10% of all sub-queries eat 5 ms).
-//!
-//! Besides the parsed (static) plans, the injector carries a **dynamic
-//! overlay**: exact-coordinate faults armed and disarmed at runtime via
-//! [`set_dynamic`](ShardFaultInjector::set_dynamic) /
-//! [`clear_dynamic`](ShardFaultInjector::clear_dynamic). The chaos
-//! orchestrator's timed `slow`/`unslow` events ride this overlay, which
-//! involves no RNG, so scripted chaos replays stay deterministic.
 
 use muve_obs::{fault_clauses, FaultClause, FaultSpecError, FaultSpecReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -48,11 +38,6 @@ pub enum FaultKind {
     Stall,
     /// The replica refuses work entirely.
     Down,
-    /// The replica marks itself dead on first contact and refuses work
-    /// until the healer replaces it
-    /// ([`mark_healed`](ShardFaultInjector::mark_healed) disarms the
-    /// clause for those coordinates).
-    DownUntilHealed,
     /// Sleep this long, then execute normally.
     Latency(Duration),
 }
@@ -71,36 +56,16 @@ pub struct ShardFaultInjector {
     plans: Vec<Plan>,
     seed: u64,
     rng: Mutex<StdRng>,
-    /// Coordinates the healer has re-replicated: `down_until_healed`
-    /// clauses are inert for them.
-    healed: Mutex<HashSet<(usize, usize)>>,
-    /// Runtime-armed exact-coordinate faults (chaos `slow` events).
-    /// Checked before the parsed plans; no RNG involved.
-    dynamic: Mutex<HashMap<(usize, usize), FaultKind>>,
 }
 
 impl Clone for ShardFaultInjector {
     /// Cloning restarts the seeded draw sequence, so a cloned injector
-    /// replays the same fault schedule. The healed set and the dynamic
-    /// overlay are copied as-is (they are driven externally, not by the
-    /// RNG).
+    /// replays the same fault schedule.
     fn clone(&self) -> ShardFaultInjector {
         ShardFaultInjector {
             plans: self.plans.clone(),
             seed: self.seed,
             rng: Mutex::new(StdRng::seed_from_u64(self.seed)),
-            healed: Mutex::new(
-                self.healed
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone(),
-            ),
-            dynamic: Mutex::new(
-                self.dynamic
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone(),
-            ),
         }
     }
 }
@@ -118,8 +83,6 @@ impl ShardFaultInjector {
             plans: Vec::new(),
             seed: 0,
             rng: Mutex::new(StdRng::seed_from_u64(0)),
-            healed: Mutex::new(HashSet::new()),
-            dynamic: Mutex::new(HashMap::new()),
         }
     }
 
@@ -146,31 +109,12 @@ impl ShardFaultInjector {
         self
     }
 
-    /// The fault (if any) that fires for this sub-query. The dynamic
-    /// overlay is checked first (exact coordinates, no RNG); then the
-    /// first matching armed clause wins, probabilistic clauses drawing
-    /// from the seeded RNG. `down_until_healed` clauses stop matching
-    /// coordinates the healer has [`mark_healed`](Self::mark_healed).
+    /// The fault (if any) that fires for this sub-query: the first
+    /// matching armed clause wins, probabilistic clauses drawing from the
+    /// seeded RNG.
     pub fn action(&self, shard: usize, replica: usize) -> Option<FaultKind> {
-        if let Some(&kind) = self
-            .dynamic
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&(shard, replica))
-        {
-            return Some(kind);
-        }
         for p in &self.plans {
             if p.shard.is_some_and(|s| s != shard) || p.replica.is_some_and(|r| r != replica) {
-                continue;
-            }
-            if p.kind == FaultKind::DownUntilHealed
-                && self
-                    .healed
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .contains(&(shard, replica))
-            {
                 continue;
             }
             if p.probability >= 1.0 {
@@ -182,37 +126,6 @@ impl ShardFaultInjector {
             }
         }
         None
-    }
-
-    /// Record that the healer re-replicated `(shard, replica)`:
-    /// `down_until_healed` clauses stop firing for those coordinates.
-    /// Called right before the replacement worker is probed, so the
-    /// probe itself is not re-killed by the clause that took the
-    /// original replica out.
-    pub fn mark_healed(&self, shard: usize, replica: usize) {
-        self.healed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert((shard, replica));
-    }
-
-    /// Arm a runtime fault for exactly `(shard, replica)`, overriding the
-    /// parsed plans until [`clear_dynamic`](Self::clear_dynamic). The
-    /// chaos orchestrator's `slow`/`unslow` events use this with
-    /// [`FaultKind::Latency`].
-    pub fn set_dynamic(&self, shard: usize, replica: usize, kind: FaultKind) {
-        self.dynamic
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert((shard, replica), kind);
-    }
-
-    /// Disarm a runtime fault armed by [`set_dynamic`](Self::set_dynamic).
-    pub fn clear_dynamic(&self, shard: usize, replica: usize) {
-        self.dynamic
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&(shard, replica));
     }
 }
 
@@ -230,7 +143,6 @@ fn plan(clause: &FaultClause<'_>) -> Result<Plan, FaultSpecError> {
         ("panic", None) => FaultKind::Panic,
         ("stall", None) => FaultKind::Stall,
         ("down", None) => FaultKind::Down,
-        ("down_until_healed", None) => FaultKind::DownUntilHealed,
         ("latency", _) => FaultKind::Latency(clause.millis()?),
         _ => return Err(clause.error(FaultSpecReason::UnknownKind)),
     };
@@ -274,34 +186,6 @@ mod tests {
         let c = a.clone();
         let dc: Vec<bool> = (0..64).map(|_| c.action(0, 0).is_some()).collect();
         assert_eq!(da, dc, "clone restarts the seeded sequence");
-    }
-
-    #[test]
-    fn down_until_healed_disarms_per_coordinate() {
-        let inj = ShardFaultInjector::parse("*.*:down_until_healed").unwrap();
-        assert_eq!(inj.action(0, 0), Some(FaultKind::DownUntilHealed));
-        assert_eq!(inj.action(1, 1), Some(FaultKind::DownUntilHealed));
-        inj.mark_healed(0, 0);
-        assert_eq!(inj.action(0, 0), None, "healed coordinates stop matching");
-        assert_eq!(
-            inj.action(1, 1),
-            Some(FaultKind::DownUntilHealed),
-            "other coordinates still match"
-        );
-    }
-
-    #[test]
-    fn dynamic_overlay_overrides_and_clears() {
-        let inj = ShardFaultInjector::none();
-        assert_eq!(inj.action(2, 1), None);
-        inj.set_dynamic(2, 1, FaultKind::Latency(Duration::from_millis(5)));
-        assert_eq!(
-            inj.action(2, 1),
-            Some(FaultKind::Latency(Duration::from_millis(5)))
-        );
-        assert_eq!(inj.action(2, 0), None, "exact coordinates only");
-        inj.clear_dynamic(2, 1);
-        assert_eq!(inj.action(2, 1), None);
     }
 
     #[test]

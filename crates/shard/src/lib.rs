@@ -1,5 +1,4 @@
-//! Fault-tolerant sharded execution for the MUVE engine (ROADMAP item:
-//! robust serving of interactive aggregate queries).
+//! Partitioned execution with replica failover for the MUVE engine.
 //!
 //! `muve-shard` hash-partitions a [`muve_dbms::Table`] into `N` shard
 //! tables, runs `R` replica workers per shard, and executes aggregate
@@ -13,7 +12,10 @@
 //! floats are added in a different order per shard count, so SUM and AVG
 //! then agree only to about 15 significant digits.
 //!
-//! The point of the crate is what happens when replicas misbehave:
+//! The crate is a library and a measuring stick, not a serving backend:
+//! the serving stack executes against the one table, and the benchmark
+//! and the differential suites hold a gather to that table's answer.
+//! What the crate adds is what happens when replicas misbehave:
 //!
 //! - **Replica health** — a [`muve_obs::Breaker`] per replica, the same
 //!   state machine `muve-serve` keeps per stage: consecutive failures
@@ -29,51 +31,32 @@
 //!   sub-query would only contend for the same cores.
 //! - **Partial-result degradation** ([`ShardOutcome`], [`GatherReport`])
 //!   — when a shard is lost entirely, the answer degrades to a typed,
-//!   coverage-scaled estimate instead of an error (callers may opt out
-//!   via [`ShardExecOptions::allow_partial`]).
+//!   coverage-scaled estimate instead of an error.
 //! - **Deterministic chaos** ([`ShardFaultInjector`]) — seeded
 //!   replica-level fault injection (`error` / `panic` / `stall` / `down`
-//!   / `down_until_healed` / `latency`) so the failover machinery is
-//!   testable and replayable.
-//! - **Self-healing** ([`ShardSpec::heal`]) — a background healer watches
-//!   the per-replica dead flags and breaker state, warms a fresh worker
-//!   over the shard's existing table behind a probe query, and only then
-//!   re-admits it to routing. No manual `revive` needed.
-//! - **Live resharding** ([`ShardSet::resize`]) — a new topology is
-//!   built beside the old one and swapped in atomically; in-flight
-//!   gathers are epoch-fenced to the topology they started on, so every
-//!   query sees exactly one consistent layout and results stay
-//!   bit-identical before, during, and after a resize.
-//! - **Chaos orchestration** ([`ChaosScript`], [`ChaosOrchestrator`]) —
-//!   scripts of timed kill/revive/slow/partition/resize events, built in
-//!   code or seeded, driven by a logical step counter, so healing chaos
-//!   suites replay identically in CI.
+//!   / `latency`) so the failover machinery is testable and replayable;
+//!   [`ShardSet::kill_replica`] / [`ShardSet::revive_replica`] take a
+//!   replica out and bring it back by hand.
 //!
-//! Every dispatch/reply/outcome lands in flow-conserving counters
+//! The `N`×`R` layout is fixed when the set is built. Every
+//! dispatch/reply/outcome lands in flow-conserving counters
 //! ([`ShardStats`], one [`muve_obs::ledger!`] declaration) mirrored into
 //! the `shard.*` namespace of the process-wide [`muve_obs`] metrics
 //! registry.
 //!
 //! The robustness tuning is constants, not options — the replica breaker
-//! (3 failures, 250 ms), the per-replica queue bound (128) and the healer
-//! timings (10 ms poll, 300 ms suspect window, 2 s probe timeout, 250 ms
-//! retry backoff) each have one value in use. A sub-query scans on its
-//! replica's worker thread, like every scan in the engine. [`ShardSpec`]
-//! is the shape (`N`×`R`) plus whether the healer runs.
+//! (3 failures, 250 ms) and the per-replica queue bound (128) each have
+//! one value in use. A sub-query scans on its replica's worker thread,
+//! like every scan in the engine. [`ShardSpec`] is the shape (`N`×`R`).
 
 #![warn(missing_docs)]
 
-mod chaos;
 mod exec;
 mod fault;
-mod heal;
 mod set;
 mod stats;
 
-pub use chaos::{ChaosAction, ChaosEvent, ChaosOrchestrator, ChaosScript};
-pub use exec::{
-    local_selection, GatherReport, MissingCause, ShardExecOptions, ShardOutcome, ShardedResult,
-};
+pub use exec::{GatherReport, MissingCause, ShardExecOptions, ShardOutcome, ShardedResult};
 pub use fault::{FaultKind, ShardFaultInjector};
-pub use set::{partition_rows, ShardSet, ShardSpec};
+pub use set::{ShardSet, ShardSpec};
 pub use stats::{ShardStats, ShardStatsSnapshot};

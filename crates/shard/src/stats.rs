@@ -5,16 +5,12 @@
 //! a reply *before* sending it, so even replies the gather abandoned (a
 //! straggler past the deadline) land in the books. The
 //! counter-only identities are declared with the ledger below and checked
-//! by [`ShardStatsSnapshot::violations`]; the ones that need topology stay
+//! by [`ShardStatsSnapshot::violations`]; the ones that need the layout stay
 //! with the suites that know it (`tests/shard_failover.rs`):
 //!
-//! - `dispatched == gathers * shards + failovers + heal_probes`
+//! - `dispatched == gathers * shards + failovers`
 //! - `gathers * shards == shards_served + shards_missing`
 //! - `replica_trips == replica_recoveries + currently-suspect replicas`
-//!
-//! The gather-count term uses the shard count of each gather's own
-//! topology snapshot, so the taxonomy holds across live resizes (tests
-//! that resize track `Σ gathers·shards(topology)` themselves).
 
 use muve_obs::BreakerTransition;
 
@@ -28,8 +24,7 @@ muve_obs::ledger! {
     pub struct ShardStatsSnapshot {
         /// Scatter-gathers started.
         gathers => "shard.scatters",
-        /// Sub-queries handed to replica workers (primaries + failovers +
-        /// heal probes).
+        /// Sub-queries handed to replica workers (primaries + failovers).
         dispatched => "shard.subqueries",
         /// Sub-queries a worker answered successfully (counted even when
         /// the gather had already moved on).
@@ -56,31 +51,15 @@ muve_obs::ledger! {
         /// Dispatches shed because the target replica's bounded queue was
         /// full (a typed subset of [`rejects`](Self::rejects)).
         replica_queue_shed => "shard.replica_queue_shed",
-        /// Heal attempts the healer started (dead or persistently-suspect
-        /// replica detected).
-        heals_started => "shard.heals_started",
-        /// Heals that re-admitted a warmed replacement replica to routing.
-        heals_completed => "shard.heals_completed",
-        /// Heals abandoned (probe failed or a resize retired the topology
-        /// mid-heal).
-        heals_failed => "shard.heals_failed",
-        /// Warm-up sub-queries dispatched to replacement workers (also
-        /// counted in [`dispatched`](Self::dispatched), so the attempt
-        /// taxonomy stays an exact identity).
-        heal_probes => "shard.heal_probes",
-        /// Live topology resizes.
-        resizes => "shard.resizes",
     }
     histograms {
         fanout => "shard.fanout",
         subquery_us => "shard.subquery_us",
         gather_us => "shard.gather_us",
-        heal_us => "shard.heal_us",
     }
     identities {
         (dispatched) == (replies_ok + replies_err + rejects);
         (replica_queue_shed) <= (rejects);
-        (heals_started) >= (heals_completed + heals_failed);
     }
 }
 
@@ -100,11 +79,5 @@ impl ShardStatsSnapshot {
     /// is quiescent this equals [`dispatched`](Self::dispatched).
     pub fn accounted(&self) -> u64 {
         self.replies_ok + self.replies_err + self.rejects
-    }
-
-    /// Heals started but not yet completed or failed.
-    pub fn heals_in_flight(&self) -> u64 {
-        self.heals_started
-            .saturating_sub(self.heals_completed + self.heals_failed)
     }
 }

@@ -25,9 +25,6 @@
 //! \svg <path>                                save the last multiplot
 //! \serve [workers] [queue]                   route questions through a worker pool
 //! \drain                                     gracefully drain the worker pool
-//! \shard [N [R] | resize N [R] | kill S R | revive S R | off]
-//!                                            self-healing sharded execution
-
 //! \index [status | build | on | off]         secondary-index registry
 //! \cache [clear | <mb>]                      cache stats, clear, or resize (0 off)
 //! \stats                                     print process-wide metrics
@@ -59,7 +56,6 @@ use muve::pipeline::{
     FaultInjector, Session, SessionCaches, SessionConfig, SessionOutcome, Visualization,
 };
 use muve::serve::{Request, ServeOutcome, Server, ServerConfig};
-use muve::shard::{ShardSet, ShardSpec};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
@@ -83,7 +79,6 @@ struct Shell {
     serve_cfg: ServerConfig,
     server: Option<Server>,
     caches: Option<Arc<SessionCaches>>,
-    shards: Option<Arc<ShardSet>>,
 }
 
 /// Default cross-request cache budget (`--cache-mb`).
@@ -110,99 +105,14 @@ impl Shell {
             serve_cfg: ServerConfig::default(),
             server: None,
             caches: Some(caches),
-            shards: None,
         }
     }
 
-    /// Stamp the cache epoch from whichever backend is live: the shard
-    /// set's combined epoch when sharding is on, the table fingerprint
-    /// otherwise.
+    /// Stamp the cache epoch with the loaded table's fingerprint.
     fn stamp_caches(&self) {
         if let Some(caches) = &self.caches {
-            match &self.shards {
-                Some(set) => caches.set_shards(set),
-                None => caches.set_table(&self.table),
-            }
+            caches.set_table(&self.table);
         }
-    }
-
-    fn rebuild_shards(&mut self, shards: usize, replicas: usize) {
-        // The shell runs with the healer on: a killed replica is detected,
-        // replaced by a warmed worker over the same shard table and
-        // re-admitted without a manual `revive`.
-        let spec = ShardSpec {
-            heal: true,
-            ..ShardSpec::new(shards, replicas)
-        };
-        let set = Arc::new(ShardSet::build(Arc::clone(&self.table), spec));
-        println!(
-            "sharded execution: {} shards x {} replicas, healer on",
-            set.num_shards(),
-            set.num_replicas()
-        );
-        self.shards = Some(set);
-        self.stamp_caches();
-    }
-
-    fn resize_shards(&self, set: &ShardSet, shards: usize, replicas: usize) {
-        let epoch = set.resize(shards, replicas);
-        self.stamp_caches();
-        println!(
-            "resized live to {} shards x {} replicas (epoch {:#x}); in-flight \
-             queries finish on the topology they started on",
-            set.num_shards(),
-            set.num_replicas(),
-            epoch
-        );
-    }
-
-    fn shard_status(&self) {
-        let Some(set) = &self.shards else {
-            println!("sharded execution off; \\shard <N> [R] to enable");
-            return;
-        };
-        println!(
-            "{} shards x {} replicas over {:?} ({} rows), healer {}",
-            set.num_shards(),
-            set.num_replicas(),
-            self.table.name(),
-            self.table.num_rows(),
-            if set.healer_enabled() { "on" } else { "off" }
-        );
-        for s in 0..set.num_shards() {
-            let health: String = (0..set.num_replicas())
-                .map(|r| if set.replica_healthy(s, r) { 'H' } else { 's' })
-                .collect();
-            println!(
-                "  shard {s}: {:>8} rows, replicas [{health}] (H healthy, s suspect)",
-                set.shard_rows(s).len()
-            );
-        }
-        let st = set.stats().snapshot();
-        println!(
-            "  gathers {} ({} partial), sub-queries {} (ok {}, err {}), \
-             failovers {}, trips {}, recoveries {}, shards served {}, missing {}",
-            st.gathers,
-            st.partial_gathers,
-            st.dispatched,
-            st.replies_ok,
-            st.replies_err,
-            st.failovers,
-            st.replica_trips,
-            st.replica_recoveries,
-            st.shards_served,
-            st.shards_missing
-        );
-        println!(
-            "  heals {} started / {} completed / {} failed ({} in flight), \
-             queue sheds {}, resizes {}",
-            st.heals_started,
-            st.heals_completed,
-            st.heals_failed,
-            st.heals_in_flight(),
-            st.replica_queue_shed,
-            st.resizes
-        );
     }
 
     fn index_status(&self) {
@@ -267,26 +177,21 @@ impl Shell {
             println!("secondary indexes are off; \\index on first");
             return;
         }
-        let tables: Vec<Arc<Table>> = match &self.shards {
-            Some(set) => (0..set.num_shards()).map(|s| set.shard_table(s)).collect(),
-            None => vec![Arc::clone(&self.table)],
-        };
-        for t in &tables {
-            match build_indexes(t, &ExecOptions::default()) {
-                Ok(built) if built.is_empty() => {
-                    println!("table {:?}: no string columns to index", t.name());
-                }
-                Ok(built) => {
-                    let total: usize = built.iter().map(|(_, b)| *b).sum();
-                    println!(
-                        "table {:?}: built {} column indexes, {:.1} MB",
-                        t.name(),
-                        built.len(),
-                        total as f64 / (1 << 20) as f64
-                    );
-                }
-                Err(e) => println!("table {:?}: {e}", t.name()),
+        let t = &self.table;
+        match build_indexes(t, &ExecOptions::default()) {
+            Ok(built) if built.is_empty() => {
+                println!("table {:?}: no string columns to index", t.name());
             }
+            Ok(built) => {
+                let total: usize = built.iter().map(|(_, b)| *b).sum();
+                println!(
+                    "table {:?}: built {} column indexes, {:.1} MB",
+                    t.name(),
+                    built.len(),
+                    total as f64 / (1 << 20) as f64
+                );
+            }
+            Err(e) => println!("table {:?}: {e}", t.name()),
         }
     }
 
@@ -314,16 +219,9 @@ impl Shell {
         );
         self.lexicon = Arc::new(Lexicon::new(&table));
         self.table = Arc::new(table);
-        // An active shard set partitions the old table; rebuild it over the
-        // new one with the same topology. Either way the cache epoch moves
-        // (combined shard epoch or table fingerprint), so entries computed
-        // against the old data are lazily dropped on lookup.
-        if let Some(set) = &self.shards {
-            let (n, r) = (set.num_shards(), set.num_replicas());
-            self.rebuild_shards(n, r);
-        } else {
-            self.stamp_caches();
-        }
+        // The cache epoch moves with the table fingerprint, so entries
+        // computed against the old data are lazily dropped on lookup.
+        self.stamp_caches();
         // A live worker pool serves the old table; rebuild it over the new
         // one (draining first so in-flight questions finish cleanly).
         if self.server.is_some() {
@@ -338,16 +236,11 @@ impl Shell {
         }
         self.serve_cfg.caches = self.caches.clone();
         self.serve_cfg.mem_cap_mb = self.mem_cap_mb;
-        self.serve_cfg.shards = self.shards.clone();
         self.server = Some(Server::new(Arc::clone(&self.table), self.serve_cfg.clone()));
         println!(
-            "serving: {} workers, queue depth {}{}{}{}",
+            "serving: {} workers, queue depth {}{}{}",
             self.serve_cfg.workers,
             self.serve_cfg.queue_depth,
-            match &self.serve_cfg.shards {
-                Some(set) => format!(", sharded {}x{}", set.num_shards(), set.num_replicas()),
-                None => String::new(),
-            },
             if self.mem_cap_mb > 0 {
                 format!(", {} MB/worker mem cap", self.mem_cap_mb)
             } else {
@@ -433,9 +326,6 @@ impl Shell {
             .with_injector(self.injector.clone());
         if let Some(caches) = &self.caches {
             session = session.with_caches(Arc::clone(caches));
-        }
-        if let Some(set) = &self.shards {
-            session = session.with_shards(Arc::clone(set));
         }
         let outcome = session.run(&text);
         self.report_outcome(outcome);
@@ -651,83 +541,6 @@ impl Shell {
                 }
             },
             Some("\\drain") => self.drain_serve(),
-            Some("\\shard") => match parts.get(1).copied() {
-                None | Some("status") => self.shard_status(),
-                Some("off") | Some("0") => {
-                    self.shards = None;
-                    self.stamp_caches();
-                    println!("sharded execution off");
-                }
-                Some(verb @ ("kill" | "revive")) => {
-                    let (s, r) = (
-                        parts.get(2).and_then(|v| v.parse::<usize>().ok()),
-                        parts.get(3).and_then(|v| v.parse::<usize>().ok()),
-                    );
-                    match (&self.shards, s, r) {
-                        (Some(set), Some(s), Some(r))
-                            if s < set.num_shards() && r < set.num_replicas() =>
-                        {
-                            if verb == "kill" {
-                                set.kill_replica(s, r);
-                                if set.healer_enabled() {
-                                    println!(
-                                        "killed replica {r} of shard {s}; survivors take \
-                                         over and the healer re-replicates it (watch \
-                                         \\shard for heals completed)"
-                                    );
-                                } else {
-                                    println!(
-                                        "killed replica {r} of shard {s}; the breaker will \
-                                         trip it and survivors take over"
-                                    );
-                                }
-                            } else {
-                                set.revive_replica(s, r);
-                                println!(
-                                    "revived replica {r} of shard {s}; the next probe \
-                                     recovers it"
-                                );
-                            }
-                        }
-                        (None, _, _) => println!("sharded execution off; \\shard <N> [R] first"),
-                        _ => println!("usage: \\shard {verb} <shard> <replica>"),
-                    }
-                }
-                Some("resize") => {
-                    let n = parts.get(2).and_then(|v| v.parse::<usize>().ok());
-                    match (&self.shards, n) {
-                        (Some(set), Some(n)) if n >= 1 => {
-                            let r = parts
-                                .get(3)
-                                .and_then(|v| v.parse::<usize>().ok())
-                                .unwrap_or(set.num_replicas())
-                                .max(1);
-                            self.resize_shards(set, n, r);
-                        }
-                        (None, _) => println!("sharded execution off; \\shard <N> [R] first"),
-                        _ => println!("usage: \\shard resize <N> [R]"),
-                    }
-                }
-                Some(arg) => match arg.parse::<usize>() {
-                    Ok(n) if n >= 1 => {
-                        let r = parts
-                            .get(2)
-                            .and_then(|v| v.parse::<usize>().ok())
-                            .unwrap_or(2)
-                            .max(1);
-                        self.rebuild_shards(n, r);
-                        if self.server.is_some() {
-                            println!(
-                                "(note: restart \\serve so the worker pool picks up \
-                                 the new shard set; \\shard resize applies live)"
-                            );
-                        }
-                    }
-                    _ => println!(
-                        "usage: \\shard [N [R] | resize N [R] | kill S R | revive S R | off]"
-                    ),
-                },
-            },
             Some("\\index") => match parts.get(1).copied() {
                 None | Some("status") => self.index_status(),
                 Some("build") => self.index_build(),
@@ -789,7 +602,6 @@ fn print_help() {
          commands: \\dataset <name> [rows], \\csv <path> [name], \\screen <preset> [rows],\n\
          \\planner <greedy|ilp>, \\k <n>, \\noise <rate>, \\deadline <ms>, \\memcap <mb|off>,\n\
          \\inject <spec|off>, \\svg <path>, \\serve [workers] [queue] | off, \\drain,\n\
-         \\shard [N [R] | resize N [R] | kill S R | revive S R | off],\n\
          \\index [status|build|on|off],\n\
          \\cache [clear | <mb>],\n\
          \\stats, \\trace <path|off>, \\schema, \\quit"

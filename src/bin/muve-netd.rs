@@ -25,7 +25,7 @@ fn usage() -> ! {
         "usage: muve-netd [--addr HOST:PORT] [--csv PATH] [--rows N] [--seed N]\n\
          \x20                [--workers N] [--queue-depth N] [--max-conns N]\n\
          \x20                [--deadline-ms MS] [--max-deadline-ms MS] [--greedy]\n\
-         \x20                [--mem-cap-mb MB] [--shards NxR]\n\
+         \x20                [--mem-cap-mb MB]\n\
          \x20                [--tenant name:key:weight:rate[:burst]]..."
     );
     std::process::exit(2);
@@ -50,7 +50,6 @@ fn main() {
     let mut net_cfg = NetConfig::default();
     let mut session = SessionConfig::default();
     let mut greedy = false;
-    let mut shards: Option<(usize, usize)> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -72,20 +71,6 @@ fn main() {
                     Duration::from_millis(parse_num("--max-deadline-ms", args.next()));
             }
             "--greedy" => greedy = true,
-            "--shards" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                let (n, r) = match spec.split_once('x') {
-                    Some((n, r)) => (n.parse().ok(), r.parse().ok()),
-                    None => (spec.parse().ok(), Some(2)),
-                };
-                match (n, r) {
-                    (Some(n), Some(r)) if n >= 1 && r >= 1 => shards = Some((n, r)),
-                    _ => {
-                        eprintln!("--shards expects NxR (e.g. 4x2) or a plain shard count");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--tenant" => match args.next().as_deref().map(TenantConfig::parse) {
                 Some(Ok(t)) => net_cfg.tenants.push(t),
                 Some(Err(e)) => {
@@ -118,17 +103,6 @@ fn main() {
         None => Arc::new(Dataset::Flights.generate(rows, seed)),
     };
 
-    if let Some((n, r)) = shards {
-        let spec = muve::shard::ShardSpec {
-            heal: true,
-            ..muve::shard::ShardSpec::new(n, r)
-        };
-        serve_cfg.shards = Some(Arc::new(muve::shard::ShardSet::build(
-            Arc::clone(&table),
-            spec,
-        )));
-    }
-
     signal::install();
     let tenants = net_cfg.tenants.len();
     let server = match NetServer::start(table, serve_cfg, session, net_cfg) {
@@ -139,15 +113,11 @@ fn main() {
         }
     };
     println!(
-        "muve-netd listening on {} ({} tenant{} configured{}{})",
+        "muve-netd listening on {} ({} tenant{} configured{})",
         server.local_addr(),
         tenants,
         if tenants == 1 { "" } else { "s" },
         if tenants == 0 { "; open serving" } else { "" },
-        match shards {
-            Some((n, r)) => format!("; sharded {n}x{r}, healer on"),
-            None => String::new(),
-        },
     );
 
     while !signal::requested() {

@@ -8,9 +8,9 @@
 //!   exact request never reads a sampled entry;
 //! - a disabled cache (`--cache-mb 0`, i.e. a zero byte budget) is
 //!   bit-identical to caching never having existed;
-//! - every backend (table, shard set) and cache state (none, cold, warm),
-//!   with a private or a shared lexicon, returns the same values at every
-//!   fidelity, and a warm cache executes nothing;
+//! - every cache state (none, cold, warm), with a private or a shared
+//!   lexicon, returns the same values at every fidelity, and a warm cache
+//!   executes nothing;
 //! - transcripts naming the same predicates in a different order do not
 //!   share a candidate-cache entry;
 //! - an ILP-planned session looks the plan layer up once, offer included;
@@ -24,7 +24,6 @@ use muve::obs::metrics;
 use muve::pipeline::{
     FaultInjector, Lexicon, Session, SessionCaches, SessionConfig, SessionOutcome, Visualization,
 };
-use muve::shard::{ShardSet, ShardSpec};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -193,18 +192,17 @@ fn zero_budget_cache_is_bit_identical_to_no_cache() {
     assert_eq!(report.plans.lookups, 0, "{report}");
 }
 
-/// One matrix for the one execute path: backend {table, `ShardSet` 2×1} ×
-/// lexicon {private to the session, shared by every cell} × caches {none,
-/// cold (single-flight leader), warm (hit)} × fidelity {exact, sample
-/// ladder escalating to exact, finalized on the sample rung}. Every cell
-/// of a fidelity row must show the table/private/no-cache cell's values
-/// bit for bit and its `approximate` flag, and a warm cell must execute
-/// nothing. A new route to the engine registers here once.
+/// One matrix for the one execute path: lexicon {private to the session,
+/// shared by every cell} × caches {none, cold (single-flight leader), warm
+/// (hit)} × fidelity {exact, sample ladder escalating to exact, finalized
+/// on the sample rung}. Every cell of a fidelity row must show the
+/// private/no-cache cell's values bit for bit and its `approximate` flag,
+/// and a warm cell must execute nothing. A new route to the engine
+/// registers here once.
 #[test]
 fn every_backend_and_cache_state_returns_the_same_results() {
     let _exclusive = EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner());
     let table = Arc::new(flights());
-    let set = Arc::new(ShardSet::build(Arc::clone(&table), ShardSpec::new(2, 1)));
     let lexicon = Arc::new(Lexicon::new(&table));
 
     let exact = SessionConfig {
@@ -231,11 +229,8 @@ fn every_backend_and_cache_state_returns_the_same_results() {
     ];
 
     for (fidelity, config, fault, want_approximate) in fidelities {
-        let cell = |sharded: bool, shared: bool, caches: Option<&Arc<SessionCaches>>| {
+        let cell = |shared: bool, caches: Option<&Arc<SessionCaches>>| {
             let mut session = Session::shared(Arc::clone(&table), config.clone());
-            if sharded {
-                session = session.with_shards(Arc::clone(&set));
-            }
             if shared {
                 session = session.with_lexicon(Arc::clone(&lexicon));
             }
@@ -259,34 +254,22 @@ fn every_backend_and_cache_state_returns_the_same_results() {
             }
         };
 
-        let reference = cell(false, false, None);
+        let reference = cell(false, None);
         assert!(reference.0.iter().any(Option::is_some), "{fidelity}");
         assert_eq!(reference.1, want_approximate, "{fidelity}");
-        for (sharded, shared) in [(false, false), (true, false), (false, true), (true, true)] {
-            let at = format!("{fidelity} / sharded={sharded} / shared lexicon={shared}");
-            assert_eq!(cell(sharded, shared, None), reference, "{at} / no caches");
+        for shared in [false, true] {
+            let at = format!("{fidelity} / shared lexicon={shared}");
+            assert_eq!(cell(shared, None), reference, "{at} / no caches");
 
             let caches = Arc::new(SessionCaches::new(8 << 20));
-            if sharded {
-                caches.set_shards(&set);
-            } else {
-                caches.set_table(&table);
-            }
-            assert_eq!(
-                cell(sharded, shared, Some(&caches)),
-                reference,
-                "{at} / cold"
-            );
+            caches.set_table(&table);
+            assert_eq!(cell(shared, Some(&caches)), reference, "{at} / cold");
             let cold = caches.stats();
             assert_eq!(cold.results.hits, 0, "{at} / cold led nothing: {cold}");
             assert!(cold.results.inserts >= 1, "{at} / cold: {cold}");
 
             let before = metrics().snapshot();
-            assert_eq!(
-                cell(sharded, shared, Some(&caches)),
-                reference,
-                "{at} / warm"
-            );
+            assert_eq!(cell(shared, Some(&caches)), reference, "{at} / warm");
             let after = metrics().snapshot();
             let warm = caches.stats();
             assert!(warm.results.hits >= 1, "{at} / never warmed: {warm}");

@@ -13,12 +13,10 @@ use muve::dbms::{
 };
 use muve::obs::metrics;
 use muve::pipeline::SessionCaches;
-use muve::shard::{ShardExecOptions, ShardSet, ShardSpec};
 use muve_testkit::{candidate_queries, random_table, Family, Registry, Scan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -124,18 +122,5 @@ fn cache_epoch_stamping_drops_indexes_for_replaced_tables() {
 
     // Post-reload answers come from the new table's own (fresh) index.
     Registry::new(&new, &[Family::Routed]).check_answers(std::slice::from_ref(&q), &Scan::all());
-
-    // Sharded stamping covers per-shard tables too.
-    let parent = random_table(&mut rng, 2_000);
-    let set = ShardSet::build(Arc::clone(&parent), ShardSpec::new(2, 1));
-    caches.set_shards(&set);
-    set.execute(&q, ShardExecOptions::default()).unwrap();
-    let shard_fp = set.shard_table(0).fingerprint();
-    assert!(index_registry().has_table(shard_fp));
-    caches.set_table(&new);
-    assert!(
-        !index_registry().has_table(shard_fp),
-        "replacing a shard set must drop per-shard indexes"
-    );
     index_registry().drop_tables(&[new.fingerprint()]);
 }

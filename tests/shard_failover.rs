@@ -9,7 +9,6 @@
 
 use muve::data::Dataset;
 use muve::dbms::{execute, AggFunc, Aggregate, CmpOp, Predicate, Query, Table};
-use muve::pipeline::{Session, SessionConfig, Visualization};
 use muve::shard::{ShardExecOptions, ShardFaultInjector, ShardSet, ShardSpec};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,7 +51,7 @@ fn burst_queries() -> Vec<Query> {
 /// Quiesce the set, then assert every flow-conservation identity from the
 /// stats ledger. These are exact equalities, not bounds: each dispatched
 /// sub-query maps to exactly one reply-or-reject, and to exactly one of
-/// {primary, failover, heal probe}.
+/// {primary, failover}.
 fn assert_flow_conserved(set: &ShardSet) {
     assert!(
         set.quiesce(Duration::from_secs(10)),
@@ -64,7 +63,7 @@ fn assert_flow_conserved(set: &ShardSet) {
     assert_eq!(s.violations(), Vec::<String>::new(), "ledger: {s:?}");
     assert_eq!(
         s.dispatched,
-        s.gathers * shards + s.failovers + s.heal_probes,
+        s.gathers * shards + s.failovers,
         "attempt taxonomy: {s:?}"
     );
     assert_eq!(
@@ -165,79 +164,4 @@ fn replica_killed_mid_burst_then_revived_recovers() {
     let s = set.stats().snapshot();
     assert_eq!(s.shards_missing, 0, "{s:?}");
     assert!(s.replica_trips >= 1 && s.replica_recoveries >= 1, "{s:?}");
-}
-
-/// End-to-end through the session pipeline: a sharded session with every
-/// shard served is indistinguishable from the single-table session, and a
-/// lost shard degrades to an annotated scaled estimate instead of an
-/// error — `approximate` is set and the degradation trace says why.
-#[test]
-fn sharded_session_matches_and_degrades_end_to_end() {
-    let table = flights(3_000);
-    let cfg = SessionConfig {
-        deadline: Duration::from_secs(1),
-        ..SessionConfig::default()
-    };
-
-    let plain = Session::shared(Arc::clone(&table), cfg.clone()).run("average dep delay in jfk");
-    let set = Arc::new(ShardSet::build(Arc::clone(&table), ShardSpec::new(3, 2)));
-    let sharded = Session::shared(Arc::clone(&table), cfg.clone())
-        .with_shards(Arc::clone(&set))
-        .run("average dep delay in jfk");
-    match (&plain.visualization, &sharded.visualization) {
-        (
-            Visualization::Multiplot {
-                results: a,
-                approximate: ax,
-                ..
-            },
-            Visualization::Multiplot {
-                results: b,
-                approximate: bx,
-                ..
-            },
-        ) => {
-            assert_eq!(a, b, "sharded session must show identical values");
-            assert!(!ax && !bx, "clean exact runs are not approximate");
-        }
-        other => panic!("expected multiplots, got {other:?}"),
-    }
-    assert!(sharded.errors.is_empty(), "{:?}", sharded.errors);
-
-    // R=1 and a killed replica: the shard is unrecoverable, the gather is
-    // partial, and the session annotates instead of failing.
-    let frail = Arc::new(ShardSet::build(Arc::clone(&table), ShardSpec::new(2, 1)));
-    frail.kill_replica(0, 0);
-    let degraded = Session::shared(Arc::clone(&table), cfg)
-        .with_shards(Arc::clone(&frail))
-        .run("average dep delay in jfk");
-    match &degraded.visualization {
-        Visualization::Multiplot {
-            results,
-            approximate,
-            ..
-        } => {
-            assert!(*approximate, "partial gather must mark values approximate");
-            assert!(
-                results.iter().any(Option::is_some),
-                "scaled estimates still land on screen"
-            );
-        }
-        Visualization::Text { message } => {
-            panic!("partial coverage must degrade, not fail: {message}")
-        }
-    }
-    assert!(
-        degraded
-            .trace
-            .events
-            .iter()
-            .any(|e| e.detail.contains("partial shard gather")),
-        "the degradation trace must say why: {:#?}",
-        degraded.trace.events
-    );
-    assert_flow_conserved(&frail);
-    let s = frail.stats().snapshot();
-    assert!(s.shards_missing > 0, "{s:?}");
-    assert!(s.partial_gathers > 0, "{s:?}");
 }
