@@ -141,7 +141,7 @@ pub fn ilp_plan(
     for (j, (_, members)) in templates.iter().enumerate() {
         for (i, _) in members {
             for r in 0..rows {
-                // q <= p and h <= q imply the unit bounds; skip bound rows.
+                // q <= p and h <= q imply the unit bounds.
                 let q3 = m.binary_implied(format!("q_{i}_{j}_{r}"));
                 let h3 = m.binary_implied(format!("h_{i}_{j}_{r}"));
                 qh.insert((*i, j, r), (q3, h3));
@@ -150,7 +150,7 @@ pub fn ilp_plan(
     }
     let q_i: Vec<Var> = (0..n_q).map(|i| m.binary(format!("q_{i}"))).collect();
     // h_i = Σ h3 <= Σ q3 = q_i <= 1, d_i = q_i - h_i <= 1, s <= p <= 1:
-    // all unit bounds are implied, so no bound rows are materialized.
+    // all unit bounds are implied.
     let h_i: Vec<Var> = (0..n_q)
         .map(|i| m.binary_implied(format!("h_{i}")))
         .collect();
@@ -308,7 +308,6 @@ pub fn ilp_plan(
         node_budget: cfg.node_budget.unwrap_or(usize::MAX),
         initial_incumbent,
         cancel: cfg.cancel.clone(),
-        ..MipConfig::default()
     };
     let result = solve_mip(&m, &mip_cfg);
     let multiplot = result

@@ -80,9 +80,6 @@ enum State {
     Open {
         /// When the cooldown was last armed (re-set by every failure).
         since: Instant,
-        /// When the breaker first opened — *not* re-armed by failures, so
-        /// [`Breaker::open_since`] answers "continuously open for how long".
-        first: Instant,
         probing: bool,
     },
 }
@@ -121,15 +118,6 @@ impl Breaker {
         self.state() == BreakerState::Closed
     }
 
-    /// When the breaker first opened, if it still is. Failed probes do
-    /// not move it.
-    pub fn open_since(&self) -> Option<Instant> {
-        match *self.lock() {
-            State::Closed { .. } => None,
-            State::Open { first, .. } => Some(first),
-        }
-    }
-
     /// Admission verdict for one caller at `now`. `Probe` claims the single
     /// probe slot — granted iff the breaker is open, its cooldown has
     /// elapsed and no probe is in flight — until the next
@@ -157,9 +145,8 @@ impl Breaker {
     pub fn record(&self, ok: bool, now: Instant) -> BreakerTransition {
         use BreakerTransition as T;
         let closed = State::Closed { fails: 0 };
-        let open = |first, since| State::Open {
+        let open = |since| State::Open {
             since,
-            first,
             probing: false,
         };
         let mut st = self.lock();
@@ -168,14 +155,13 @@ impl Breaker {
             (State::Closed { fails }, false) if fails + 1 < self.cfg.failure_threshold => {
                 (State::Closed { fails: fails + 1 }, T::None)
             }
-            (State::Closed { .. }, false) => (open(now, now), T::Opened),
+            (State::Closed { .. }, false) => (open(now), T::Opened),
             (State::Open { .. }, true) => (closed, T::Closed),
             // A failed probe releases its slot; either way the cooldown
-            // restarts and the first-open time is kept.
-            (State::Open { first, probing, .. }, false) => (
-                open(first, now),
-                if probing { T::Reopened } else { T::None },
-            ),
+            // restarts.
+            (State::Open { probing, .. }, false) => {
+                (open(now), if probing { T::Reopened } else { T::None })
+            }
         };
         *st = next;
         transition
@@ -253,21 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn open_since_survives_failed_probes() {
-        let (closed, t0) = breaker();
-        assert_eq!(closed.open_since(), None);
-        let b = opened_at(t0);
-        assert_eq!(b.open_since(), Some(t0));
-        let t1 = t0 + COOLDOWN;
-        assert!(b.try_probe(t1));
-        assert_eq!(b.record(false, t1), T::Reopened);
-        assert_eq!(b.open_since(), Some(t0), "first-open time is not re-armed");
-        assert!(b.try_probe(t1 + COOLDOWN));
-        assert_eq!(b.record(true, t1 + COOLDOWN), T::Closed);
-        assert_eq!(b.open_since(), None, "closing clears it");
-    }
-
-    #[test]
     fn released_probe_frees_the_slot() {
         let (_, t0) = breaker();
         let b = opened_at(t0);
@@ -298,7 +269,6 @@ mod tests {
         let t1 = t0 + COOLDOWN / 2;
         assert_eq!(b.record(false, t1), T::None, "not a probe: no reopen");
         assert!(!b.try_probe(t0 + COOLDOWN), "the failure re-armed `since`");
-        assert_eq!(b.open_since(), Some(t0), "…but kept `first`");
         assert!(b.try_probe(t1 + COOLDOWN));
         b.release_probe();
         assert_eq!(b.record(true, t1), T::Closed, "a late success closes");

@@ -50,11 +50,13 @@ struct Plan {
     probability: f64,
 }
 
+/// Seed of every injector's probability draws.
+const SEED: u64 = 0;
+
 /// Seeded replica-level fault injector.
 #[derive(Debug)]
 pub struct ShardFaultInjector {
     plans: Vec<Plan>,
-    seed: u64,
     rng: Mutex<StdRng>,
 }
 
@@ -64,8 +66,7 @@ impl Clone for ShardFaultInjector {
     fn clone(&self) -> ShardFaultInjector {
         ShardFaultInjector {
             plans: self.plans.clone(),
-            seed: self.seed,
-            rng: Mutex::new(StdRng::seed_from_u64(self.seed)),
+            rng: Mutex::new(StdRng::seed_from_u64(SEED)),
         }
     }
 }
@@ -81,14 +82,8 @@ impl ShardFaultInjector {
     pub fn none() -> ShardFaultInjector {
         ShardFaultInjector {
             plans: Vec::new(),
-            seed: 0,
-            rng: Mutex::new(StdRng::seed_from_u64(0)),
+            rng: Mutex::new(StdRng::seed_from_u64(SEED)),
         }
-    }
-
-    /// Whether any fault is armed.
-    pub fn is_none(&self) -> bool {
-        self.plans.is_empty()
     }
 
     /// Parse a spec (see module docs for the grammar).
@@ -100,13 +95,6 @@ impl ShardFaultInjector {
             plans,
             ..ShardFaultInjector::none()
         })
-    }
-
-    /// Re-seed the probability draws (deterministic chaos replay).
-    pub fn with_seed(mut self, seed: u64) -> ShardFaultInjector {
-        self.seed = seed;
-        self.rng = Mutex::new(StdRng::seed_from_u64(seed));
-        self
     }
 
     /// The fault (if any) that fires for this sub-query: the first
@@ -162,7 +150,7 @@ mod tests {
     fn parses_wildcards_kinds_and_probability() {
         let inj =
             ShardFaultInjector::parse("*.0:down, 2.1:panic@p=0.5, *.*:latency=5@p=0.25").unwrap();
-        assert!(!inj.is_none());
+        assert_eq!(inj.plans.len(), 3);
         // `*.0:down` fires deterministically for replica 0 of any shard.
         assert_eq!(inj.action(7, 0), Some(FaultKind::Down));
         // Replica 1 of shard 0 only matches the probabilistic clauses.
@@ -178,8 +166,8 @@ mod tests {
     #[test]
     fn seeded_draws_replay() {
         let spec = "*.*:error@p=0.5";
-        let a = ShardFaultInjector::parse(spec).unwrap().with_seed(42);
-        let b = ShardFaultInjector::parse(spec).unwrap().with_seed(42);
+        let a = ShardFaultInjector::parse(spec).unwrap();
+        let b = ShardFaultInjector::parse(spec).unwrap();
         let da: Vec<bool> = (0..64).map(|_| a.action(0, 0).is_some()).collect();
         let db: Vec<bool> = (0..64).map(|_| b.action(0, 0).is_some()).collect();
         assert_eq!(da, db);
@@ -200,6 +188,6 @@ mod tests {
         ] {
             assert!(ShardFaultInjector::parse(bad).is_err(), "{bad}");
         }
-        assert!(ShardFaultInjector::parse("").unwrap().is_none());
+        assert!(ShardFaultInjector::parse("").unwrap().plans.is_empty());
     }
 }

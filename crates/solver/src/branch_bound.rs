@@ -1,20 +1,37 @@
 //! Branch-and-bound solver for mixed 0/1 integer programs.
 //!
-//! The solver repeatedly relaxes integrality, solves the LP relaxation with
-//! the [`crate::simplex`] engine, and branches on the most fractional binary
-//! variable by *fixing* it to 0 or 1 (fixed variables are substituted out of
-//! the child LPs, shrinking them as the search deepens). Nodes are explored
-//! best-bound-first, so the incumbent's optimality gap is known at all
-//! times; when the deadline or node budget runs out the best incumbent so
-//! far is returned with [`MipStatus::Feasible`] — the anytime behaviour the
-//! MUVE incremental optimizer (paper §5.4) builds on.
+//! The solver relaxes integrality, solves the LP relaxation with the
+//! [`crate::simplex`] engine, and branches on the most fractional binary
+//! variable by *fixing* it to 0 or 1, closed under the implication rules
+//! below. Only the root LP is solved from scratch. A child starts from its
+//! parent's final tableau: its fixes are bound changes, which keep the
+//! parent's basis dual feasible, so a few dual simplex pivots re-optimise
+//! it. A warm verdict other than optimal is confirmed by a cold solve of
+//! the same bounds, so round-off accumulated along a deep dive can cost
+//! time but never a subtree.
+//!
+//! Nodes are explored depth-first, the rounding-preferred child first. The
+//! preferred child takes over its parent's tableau and only the pushed
+//! sibling holds a copy, so the live tableaux are the open siblings along
+//! the current path. At most `MAX_WARM_NODES` of them keep one; past that
+//! the oldest, which depth-first order pops last, is solved cold when its
+//! turn comes. When the deadline or node budget runs out the best
+//! incumbent so far is returned with [`MipStatus::Feasible`] together with
+//! the weakest open bound — the anytime behaviour the MUVE incremental
+//! optimizer (paper §5.4) builds on.
 
 use crate::model::Model;
-use crate::simplex::{solve_within as lp_solve, Lp, LpOutcome, Row, Sense};
+use crate::simplex::{Budget, Lp, Sense, Status, Tableau};
 use std::time::{Duration, Instant};
 
 /// Integrality tolerance.
 const INT_EPS: f64 = 1e-6;
+/// Simplex pivot budget per node LP.
+const PIVOTS_PER_NODE: usize = 200_000;
+/// The search stops when `incumbent - bound <= ABS_GAP`.
+const ABS_GAP: f64 = 1e-6;
+/// Most open nodes that keep their parent's tableau at once.
+const MAX_WARM_NODES: usize = 8;
 
 /// Search limits for a branch-and-bound run.
 #[derive(Debug, Clone)]
@@ -24,10 +41,6 @@ pub struct MipConfig {
     /// Maximum number of branch-and-bound nodes (deterministic budget used
     /// by tests). `usize::MAX` disables the limit.
     pub node_budget: usize,
-    /// Simplex pivot budget per node LP.
-    pub pivots_per_node: usize,
-    /// Stop when `incumbent - bound <= abs_gap`.
-    pub abs_gap: f64,
     /// A starting incumbent objective (user direction); nodes whose bound
     /// cannot beat it are pruned. Used to warm-start restarts.
     pub initial_incumbent: Option<(Vec<f64>, f64)>,
@@ -43,8 +56,6 @@ impl Default for MipConfig {
         MipConfig {
             time_budget: None,
             node_budget: usize::MAX,
-            pivots_per_node: 200_000,
-            abs_gap: 1e-6,
             initial_incumbent: None,
             cancel: None,
         }
@@ -153,15 +164,17 @@ pub fn solve_mip(model: &Model, config: &MipConfig) -> MipResult {
 }
 
 /// A node: variables fixed so far (index -> value), parent LP bound
-/// (minimization sense, internal).
+/// (minimization sense, internal) and the parent's optimal tableau to
+/// re-optimise from (`None` at the root).
 struct Node {
     fixes: Vec<(usize, f64)>,
     parent_bound: f64,
+    warm: Option<Tableau>,
 }
 
 /// Logical implications extracted from the constraint structure, used to
-/// propagate branching decisions onto further binaries (shrinking child
-/// LPs and deepening dives):
+/// propagate branching decisions onto further binaries (each fix drops a
+/// column from the child's tableau and deepens the dive):
 ///
 /// - `x <= y` rows (binaries): `y = 0 => x = 0`, `x = 1 => y = 1`;
 /// - `Σ parts − total = 0` rows: `total = 0 => parts = 0`,
@@ -322,12 +335,11 @@ impl Searcher {
         if let Some((vals, user_obj)) = &self.config.initial_incumbent {
             incumbent = Some((vals.clone(), (user_obj - self.obj_constant) * self.sign));
         }
-        // Open-node pool. Selection policy: depth-first (LIFO) while no
-        // incumbent exists — one dive down the rounding-preferred branches
-        // reaches integer feasibility quickly — then best-bound-first.
+        // Open nodes, explored depth-first (LIFO).
         let mut open: Vec<Node> = vec![Node {
             fixes: Vec::new(),
             parent_bound: f64::NEG_INFINITY,
+            warm: None,
         }];
         let mut nodes = 0usize;
         let mut timed_out = false;
@@ -338,27 +350,9 @@ impl Searcher {
         // the pivot limit: their subtrees are only bounded by the parents.
         let mut limit_bound = f64::INFINITY;
         let mut lp_limit_hit = false;
+        let deadline = self.config.time_budget.map(|b| self.start + b);
 
-        loop {
-            if open.is_empty() {
-                break;
-            }
-            // No incumbent: pure depth-first dive. With an incumbent:
-            // alternate best-bound pops (improving the proof) with dives
-            // (finding better incumbents) — a cheap stand-in for the
-            // heuristics commercial solvers run alongside the tree search.
-            let pick = if incumbent.is_none() || nodes % 2 == 1 {
-                open.len() - 1
-            } else {
-                let mut best_i = 0usize;
-                for (i, n) in open.iter().enumerate() {
-                    if n.parent_bound < open[best_i].parent_bound {
-                        best_i = i;
-                    }
-                }
-                best_i
-            };
-            let node = open.swap_remove(pick);
+        while let Some(node) = open.pop() {
             if let Some(budget) = self.config.time_budget {
                 if self.start.elapsed() >= budget {
                     timed_out = true;
@@ -379,17 +373,15 @@ impl Searcher {
             }
             // Prune against incumbent using the parent bound.
             if let Some((_, inc)) = &incumbent {
-                if node.parent_bound >= *inc - self.config.abs_gap {
+                if node.parent_bound >= *inc - ABS_GAP {
                     continue;
                 }
             }
             nodes += 1;
-            let (sub_lp, back_map, fixed_contribution) = self.reduce(&node.fixes);
-            let deadline = self.config.time_budget.map(|b| self.start + b);
-            let outcome = lp_solve(&sub_lp, self.config.pivots_per_node, deadline);
-            match outcome {
-                LpOutcome::Infeasible => continue,
-                LpOutcome::Unbounded => {
+            let (status, tableau) = self.solve_node(node.warm, &node.fixes, deadline);
+            match status {
+                Status::Infeasible => continue,
+                Status::Unbounded => {
                     // With all-binary integer vars and bounded continuous
                     // auxiliaries this signals an unbounded user model.
                     return MipResult {
@@ -404,70 +396,86 @@ impl Searcher {
                         stalled: false,
                     };
                 }
-                LpOutcome::PivotLimit => {
+                Status::PivotLimit => {
                     // Cannot bound this node; treat conservatively as open.
                     lp_limit_hit = true;
                     limit_bound = limit_bound.min(node.parent_bound);
                     continue;
                 }
-                LpOutcome::Optimal(sol) => {
-                    let bound = sol.objective + fixed_contribution;
-                    if bound > best_bound_seen {
-                        best_bound_seen = bound;
-                        bound_improvements += 1;
-                    }
-                    if let Some((_, inc)) = &incumbent {
-                        if bound >= *inc - self.config.abs_gap {
-                            continue;
-                        }
-                    }
-                    // Expand values back to full variable space.
-                    let full = self.expand(&sol.values, &back_map, &node.fixes);
-                    // Find the most fractional integer variable (closest to
-                    // one half), if any.
-                    let mut branch_var = None;
-                    let mut best_score = INT_EPS;
-                    for (j, &is_int) in self.integer.iter().enumerate() {
-                        if !is_int {
-                            continue;
-                        }
-                        let frac = full[j] - full[j].floor();
-                        let score = frac.min(1.0 - frac);
-                        if score > best_score {
-                            best_score = score;
-                            branch_var = Some(j);
-                        }
-                    }
-                    match branch_var {
-                        None => {
-                            // Integer feasible: snap and accept.
-                            let snapped = self.snap(&full);
-                            let obj = self.objective_of(&snapped);
-                            if incumbent.as_ref().is_none_or(|(_, inc)| obj < *inc) {
-                                incumbent = Some((snapped, obj));
-                                incumbent_updates += 1;
-                            }
-                        }
-                        Some(j) => {
-                            // Push the rounding-preferred child last so the
-                            // LIFO dive explores it first. Branch decisions
-                            // are closed under the implication rules; a
-                            // conflicting child is pruned immediately.
-                            let preferred = full[j].round().clamp(0.0, 1.0);
-                            for val in [1.0 - preferred, preferred] {
-                                let mut fixes = node.fixes.clone();
-                                fixes.push((j, val));
-                                if let Some(closed) =
-                                    self.implications.propagate(&fixes, self.lp.num_vars)
-                                {
-                                    open.push(Node {
-                                        fixes: closed,
-                                        parent_bound: bound,
-                                    });
-                                }
-                            }
-                        }
-                    }
+                Status::Optimal => {}
+            }
+            let sol = tableau.solution(&self.lp);
+            let bound = sol.objective;
+            if bound > best_bound_seen {
+                best_bound_seen = bound;
+                bound_improvements += 1;
+            }
+            if let Some((_, inc)) = &incumbent {
+                if bound >= *inc - ABS_GAP {
+                    continue;
+                }
+            }
+            // Find the most fractional integer variable (closest to one
+            // half), if any.
+            let full = sol.values;
+            let mut branch_var = None;
+            let mut best_score = INT_EPS;
+            for (j, &is_int) in self.integer.iter().enumerate() {
+                if !is_int {
+                    continue;
+                }
+                let frac = full[j] - full[j].floor();
+                let score = frac.min(1.0 - frac);
+                if score > best_score {
+                    best_score = score;
+                    branch_var = Some(j);
+                }
+            }
+            let Some(j) = branch_var else {
+                // Integer feasible: snap and accept.
+                let snapped = self.snap(&full);
+                let obj = self.objective_of(&snapped);
+                if incumbent.as_ref().is_none_or(|(_, inc)| obj < *inc) {
+                    incumbent = Some((snapped, obj));
+                    incumbent_updates += 1;
+                }
+                continue;
+            };
+            // Push the rounding-preferred child last so the dive explores
+            // it first; it takes the tableau, its sibling gets a copy.
+            // Branch decisions are closed under the implication rules; a
+            // conflicting child is pruned immediately.
+            let preferred = full[j].round().clamp(0.0, 1.0);
+            let children: Vec<Vec<(usize, f64)>> = [1.0 - preferred, preferred]
+                .into_iter()
+                .filter_map(|val| {
+                    let mut fixes = node.fixes.clone();
+                    fixes.push((j, val));
+                    self.implications.propagate(&fixes, self.lp.num_vars)
+                })
+                .collect();
+            let mut warm = Some(tableau);
+            let last = children.len();
+            for (i, fixes) in children.into_iter().enumerate() {
+                open.push(Node {
+                    fixes,
+                    parent_bound: bound,
+                    warm: if i + 1 == last {
+                        warm.take()
+                    } else {
+                        warm.clone()
+                    },
+                });
+            }
+            // Bounded memory: past the cap, the oldest open node (the one
+            // popped last) gives its tableau up and will be solved cold.
+            let mut warm_nodes = open.iter().filter(|n| n.warm.is_some()).count();
+            for n in open.iter_mut() {
+                if warm_nodes <= MAX_WARM_NODES {
+                    break;
+                }
+                if n.warm.take().is_some() {
+                    warm_nodes -= 1;
                 }
             }
         }
@@ -500,7 +508,7 @@ impl Searcher {
         let proven = !open_exists
             || incumbent
                 .as_ref()
-                .is_some_and(|(_, inc)| internal_bound >= *inc - self.config.abs_gap);
+                .is_some_and(|(_, inc)| internal_bound >= *inc - ABS_GAP);
         let status = match (&incumbent, proven) {
             (Some(_), true) => MipStatus::Optimal,
             (Some(_), false) => MipStatus::Feasible,
@@ -528,94 +536,24 @@ impl Searcher {
         }
     }
 
-    /// Build the child LP with `fixes` substituted out. Returns the reduced
-    /// LP, a map from reduced index -> original index, and the objective
-    /// contribution of the fixed variables (internal sense).
-    fn reduce(&self, fixes: &[(usize, f64)]) -> (Lp, Vec<usize>, f64) {
-        if fixes.is_empty() {
-            return (self.lp.clone(), (0..self.lp.num_vars).collect(), 0.0);
-        }
-        let mut fixed_val = vec![f64::NAN; self.lp.num_vars];
-        for &(j, v) in fixes {
-            fixed_val[j] = v;
-        }
-        let mut back = Vec::with_capacity(self.lp.num_vars - fixes.len());
-        let mut fwd = vec![usize::MAX; self.lp.num_vars];
-        for (j, v) in fixed_val.iter().enumerate() {
-            if v.is_nan() {
-                fwd[j] = back.len();
-                back.push(j);
+    /// Solve a node's LP: re-optimise the parent's tableau under the
+    /// node's fixes by dual simplex, or solve cold at the root and whenever
+    /// the warm verdict is not optimal.
+    fn solve_node(
+        &self,
+        warm: Option<Tableau>,
+        fixes: &[(usize, f64)],
+        deadline: Option<Instant>,
+    ) -> (Status, Tableau) {
+        if let Some(mut tableau) = warm {
+            for &(j, v) in fixes {
+                tableau.fix(j, v);
+            }
+            if tableau.reoptimize(&mut Budget::new(PIVOTS_PER_NODE, deadline)) == Status::Optimal {
+                return (Status::Optimal, tableau);
             }
         }
-        let mut objective = Vec::with_capacity(back.len());
-        let mut fixed_contrib = 0.0;
-        for (j, v) in fixed_val.iter().enumerate() {
-            if v.is_nan() {
-                objective.push(self.lp.objective[j]);
-            } else {
-                fixed_contrib += self.lp.objective[j] * v;
-            }
-        }
-        let mut rows = Vec::with_capacity(self.lp.rows.len());
-        for row in &self.lp.rows {
-            let mut coeffs = Vec::with_capacity(row.coeffs.len());
-            let mut rhs = row.rhs;
-            for &(j, c) in &row.coeffs {
-                if fixed_val[j].is_nan() {
-                    coeffs.push((fwd[j], c));
-                } else {
-                    rhs -= c * fixed_val[j];
-                }
-            }
-            if coeffs.is_empty() {
-                // Constant row: feasibility check happens via an always-
-                // violated marker row when inconsistent.
-                let ok = match row.sense {
-                    Sense::Le => 0.0 <= rhs + 1e-9,
-                    Sense::Ge => 0.0 >= rhs - 1e-9,
-                    Sense::Eq => rhs.abs() <= 1e-9,
-                };
-                if !ok {
-                    // Encode infeasibility: 0 >= 1 over the (nonneg) first var,
-                    // or a trivially impossible row when no vars remain.
-                    rows.push(Row {
-                        coeffs: vec![],
-                        sense: Sense::Eq,
-                        rhs: 1.0,
-                    });
-                    // A constant Eq row with rhs 1 and no coefficients keeps
-                    // an artificial at value 1 => phase 1 fails => infeasible.
-                }
-                continue;
-            }
-            rows.push(Row {
-                coeffs,
-                sense: row.sense,
-                rhs,
-            });
-        }
-        let upper = back.iter().map(|&j| self.lp.upper[j]).collect();
-        (
-            Lp {
-                num_vars: back.len(),
-                objective,
-                rows,
-                upper,
-            },
-            back,
-            fixed_contrib,
-        )
-    }
-
-    fn expand(&self, reduced: &[f64], back: &[usize], fixes: &[(usize, f64)]) -> Vec<f64> {
-        let mut full = vec![0.0; self.lp.num_vars];
-        for (r, &j) in back.iter().enumerate() {
-            full[j] = reduced[r];
-        }
-        for &(j, v) in fixes {
-            full[j] = v;
-        }
-        full
+        Tableau::cold(&self.lp, fixes, &mut Budget::new(PIVOTS_PER_NODE, deadline))
     }
 
     fn snap(&self, values: &[f64]) -> Vec<f64> {

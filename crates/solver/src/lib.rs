@@ -4,8 +4,10 @@
 //!
 //! The MUVE paper (Wei, Trummer, Anderson, PVLDB 2021) solves multiplot
 //! selection with Gurobi. This crate is the from-scratch substitute: a
-//! two-phase primal [`simplex`] LP engine, a best-bound
-//! [`branch_bound`] search for mixed 0/1 programs with deadlines and
+//! bounded-variable [`simplex`] LP engine (two-phase primal for a cold
+//! solve, dual simplex to re-optimise after a bound change) and a
+//! depth-first [`branch_bound`] search for mixed 0/1 programs that
+//! re-solves each child from its parent's tableau, with deadlines and
 //! warm-startable incumbents. The exponential-timeout restart schedule of
 //! paper §5.4 runs on top of it in `muve-core`
 //! (`plan_incremental_observed`). The [`model`] module offers a

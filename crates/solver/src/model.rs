@@ -196,10 +196,10 @@ impl Model {
     }
 
     /// Add a binary variable whose `<= 1` bound is already implied by the
-    /// model's constraints. No explicit bound row is materialized for it,
-    /// which shrinks the LP tableau — branch-and-bound still enforces
-    /// integrality by branching. Use only when the implication really
-    /// holds; otherwise relaxations may exceed 1.
+    /// model's constraints, so the LP carries no upper bound for it —
+    /// branch-and-bound still enforces integrality by branching. Use only
+    /// when the implication really holds; otherwise relaxations may
+    /// exceed 1.
     pub fn binary_implied(&mut self, name: impl Into<String>) -> Var {
         self.vars.push(VarDef {
             name: name.into(),

@@ -1,4 +1,5 @@
-//! Two-phase primal simplex on a dense tableau.
+//! Bounded-variable simplex on a condensed tableau: two-phase primal for a
+//! cold solve, dual simplex to re-optimise after bound changes.
 //!
 //! This is the LP engine underneath the branch-and-bound integer solver.
 //! Problems are given in the form
@@ -9,11 +10,28 @@
 //!             0 <= x_j <= ub_j           (ub_j may be +inf)
 //! ```
 //!
-//! Finite upper bounds are materialized as explicit `<=` rows, slack and
-//! artificial variables are added internally, and phase 1 minimizes the sum
-//! of artificials. Dantzig pricing is used by default with a fallback to
-//! Bland's rule after a run of degenerate pivots, which guarantees
+//! Each row gets one slack (`>=` rows are negated first), so row `i` reads
+//! `a_i'x + s_i = b_i` with `s_i` in `[0, inf)` for inequalities and in
+//! `[0, 0]` for equalities. Finite upper bounds stay implicit bounds of
+//! their variables instead of becoming rows; a nonbasic variable sits at
+//! its lower or its upper bound. The tableau is stored in condensed
+//! (Tucker) form: one row per basic variable over the *nonbasic* columns
+//! only, in one flat allocation, with the basic values and the reduced
+//! costs alongside. A variable whose bounds meet is fixed and never enters
+//! again, so its column is dropped.
+//!
+//! A cold solve starts from the slack basis; rows it leaves infeasible get
+//! an artificial variable, phase 1 minimises their sum, the artificials
+//! and any redundant rows are then dropped, and phase 2 runs primal simplex
+//! on the objective. Fixing a variable on a finished tableau, as a
+//! branch-and-bound child does, keeps the basis dual feasible, so
+//! re-optimising needs only dual simplex pivots until the basic values are
+//! back within their bounds. Pricing is Dantzig's rule with
+//! Harris' two-pass ratio test (largest pivot among near-ties), falling
+//! back to Bland's rule after a run of degenerate pivots, which guarantees
 //! termination.
+
+use std::time::Instant;
 
 /// Comparison sense of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,9 +91,28 @@ pub struct LpSolution {
     pub objective: f64,
 }
 
+/// Verdict of a tableau solve; [`LpOutcome`] without the solution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Status {
+    Optimal,
+    Infeasible,
+    Unbounded,
+    PivotLimit,
+}
+
+/// Primal and dual feasibility tolerance.
 const EPS: f64 = 1e-9;
+/// Smallest tableau entry accepted as a pivot.
+const PIVOT_EPS: f64 = 1e-9;
+/// Smallest entry that can expel an artificial after phase 1; a row with
+/// none is redundant.
+const EXPEL_EPS: f64 = 1e-7;
+/// Phase-1 objective above which the constraints are declared infeasible.
+const PHASE1_EPS: f64 = 1e-6;
 /// Consecutive degenerate pivots before switching to Bland's rule.
 const DEGENERATE_LIMIT: usize = 40;
+/// Pivots between two deadline checks.
+const DEADLINE_STRIDE: usize = 8;
 
 /// Solve `lp` with at most `max_pivots` simplex pivots across both phases.
 ///
@@ -104,314 +141,637 @@ pub fn solve(lp: &Lp, max_pivots: usize) -> LpOutcome {
 /// Like [`solve`], but additionally aborts with [`LpOutcome::PivotLimit`]
 /// once `deadline` passes (checked every few pivots), so a single large LP
 /// cannot overrun an interactive optimization budget.
-pub fn solve_within(lp: &Lp, max_pivots: usize, deadline: Option<std::time::Instant>) -> LpOutcome {
-    Tableau::build(lp).solve(max_pivots, deadline)
+pub fn solve_within(lp: &Lp, max_pivots: usize, deadline: Option<Instant>) -> LpOutcome {
+    let mut budget = Budget::new(max_pivots, deadline);
+    let (status, tableau) = Tableau::cold(lp, &[], &mut budget);
+    match status {
+        Status::Optimal => LpOutcome::Optimal(tableau.solution(lp)),
+        Status::Infeasible => LpOutcome::Infeasible,
+        Status::Unbounded => LpOutcome::Unbounded,
+        Status::PivotLimit => LpOutcome::PivotLimit,
+    }
 }
 
-struct Tableau {
-    /// Dense rows; column layout: structural | slack/surplus | artificial | rhs.
-    rows: Vec<Vec<f64>>,
-    /// Basic variable (column index) per row.
-    basis: Vec<usize>,
-    /// Reduced-cost row for the current phase objective.
-    cost: Vec<f64>,
-    /// Original objective reduced-cost row (maintained through phase 1).
-    cost2: Vec<f64>,
+/// Pivot allowance of one solve: a count and an optional wall-clock cutoff.
+pub(crate) struct Budget {
+    left: usize,
+    deadline: Option<Instant>,
+    since_check: usize,
+}
+
+impl Budget {
+    pub(crate) fn new(pivots: usize, deadline: Option<Instant>) -> Budget {
+        Budget {
+            left: pivots,
+            deadline,
+            since_check: 0,
+        }
+    }
+
+    /// Take one pivot; `false` once the count or the deadline is spent.
+    fn take(&mut self) -> bool {
+        if self.left == 0 {
+            return false;
+        }
+        self.since_check += 1;
+        if self.since_check >= DEADLINE_STRIDE {
+            self.since_check = 0;
+            if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                self.left = 0;
+                return false;
+            }
+        }
+        self.left -= 1;
+        true
+    }
+}
+
+/// A condensed simplex tableau with bounded variables.
+///
+/// Variables are numbered structural `0..n`, then one slack per row
+/// `n..n + m`, then (during phase 1 only) one artificial per row. Basic
+/// variable `head[i]` satisfies `x_head[i] = value_i - Σ_k a[i][k] Δx_nonb[k]`
+/// for moves `Δx` of the nonbasic variables away from their bounds.
+#[derive(Debug)]
+pub(crate) struct Tableau {
+    /// Constraint rows (`rows` of them), then the objective's reduced-cost
+    /// row, then during phase 1 the phase-1 reduced-cost row. Each row is
+    /// `stride` cells: `cols` live entries, unused cells of dropped
+    /// columns, and last a value: the basic variable's value for a
+    /// constraint row, the objective value for a cost row.
+    cells: Vec<f64>,
+    rows: usize,
+    cols: usize,
+    stride: usize,
+    /// Basic variable per row.
+    head: Vec<usize>,
+    /// Nonbasic variable per column.
+    nonb: Vec<usize>,
+    /// Bounds per variable; equal bounds fix the variable.
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    /// Whether a nonbasic variable sits at its upper bound.
+    at_upper: Vec<bool>,
     num_structural: usize,
-    /// First artificial column; columns >= this are phase-1 only.
-    first_artificial: usize,
-    num_cols: usize,
-    /// Optional wall-clock cutoff, checked periodically during pivoting.
-    deadline: Option<std::time::Instant>,
+}
+
+impl Clone for Tableau {
+    /// A copy without the cells of dropped columns.
+    fn clone(&self) -> Tableau {
+        let stride = self.cols + 1;
+        let mut cells = Vec::with_capacity(self.cells.len() / self.stride * stride);
+        for line in self.cells.chunks_exact(self.stride) {
+            cells.extend_from_slice(&line[..self.cols]);
+            cells.push(line[self.stride - 1]);
+        }
+        Tableau {
+            cells,
+            stride,
+            head: self.head.clone(),
+            nonb: self.nonb.clone(),
+            lower: self.lower.clone(),
+            upper: self.upper.clone(),
+            at_upper: self.at_upper.clone(),
+            ..*self
+        }
+    }
 }
 
 impl Tableau {
-    fn build(lp: &Lp) -> Tableau {
-        // Materialize finite upper bounds as rows.
-        let mut rows: Vec<Row> = lp.rows.clone();
-        for (j, &ub) in lp.upper.iter().enumerate() {
-            if ub.is_finite() {
-                rows.push(Row {
-                    coeffs: vec![(j, 1.0)],
-                    sense: Sense::Le,
-                    rhs: ub,
-                });
-            }
-        }
-        // Normalize to nonnegative rhs.
-        for row in &mut rows {
-            if row.rhs < 0.0 {
-                row.rhs = -row.rhs;
-                for (_, c) in &mut row.coeffs {
-                    *c = -*c;
+    /// Solve `lp` from scratch with the variables in `fixes` fixed to their
+    /// values: phase 1 from the slack basis, then phase 2. The returned
+    /// tableau is meaningful (and can be re-optimised) only when the status
+    /// is [`Status::Optimal`].
+    pub(crate) fn cold(lp: &Lp, fixes: &[(usize, f64)], budget: &mut Budget) -> (Status, Tableau) {
+        let mut t = Tableau::build(lp, fixes);
+        if t.cost_rows() == 2 {
+            match t.primal(true, budget) {
+                Status::PivotLimit => return (Status::PivotLimit, t),
+                Status::Unbounded => {
+                    // The phase-1 objective is bounded below by 0.
+                    debug_assert!(false, "phase-1 unbounded");
+                    return (Status::Infeasible, t);
                 }
-                row.sense = match row.sense {
-                    Sense::Le => Sense::Ge,
-                    Sense::Ge => Sense::Le,
-                    Sense::Eq => Sense::Eq,
-                };
+                _ => {}
+            }
+            if t.value(t.rows + 1) > PHASE1_EPS {
+                return (Status::Infeasible, t);
             }
         }
-        let m = rows.len();
-        let n = lp.num_vars;
-        // Column counts.
-        let num_slack = rows
-            .iter()
-            .filter(|r| matches!(r.sense, Sense::Le | Sense::Ge))
-            .count();
-        let num_art = rows
-            .iter()
-            .filter(|r| matches!(r.sense, Sense::Ge | Sense::Eq))
-            .count();
-        let first_slack = n;
-        let first_artificial = n + num_slack;
-        let num_cols = n + num_slack + num_art;
-        let width = num_cols + 1; // + rhs
+        t.expel();
+        let status = t.primal(false, budget);
+        (status, t)
+    }
 
-        let mut t = vec![vec![0.0; width]; m];
-        let mut basis = vec![usize::MAX; m];
-        let mut slack_i = 0usize;
-        let mut art_i = 0usize;
-        for (i, row) in rows.iter().enumerate() {
+    fn build(lp: &Lp, fixes: &[(usize, f64)]) -> Tableau {
+        let n = lp.num_vars;
+        let m = lp.rows.len();
+        let mut lower = vec![0.0; n + m];
+        let mut upper = Vec::with_capacity(n + 2 * m);
+        upper.extend_from_slice(&lp.upper);
+        upper.extend(lp.rows.iter().map(|r| match r.sense {
+            Sense::Eq => 0.0,
+            Sense::Le | Sense::Ge => f64::INFINITY,
+        }));
+        for &(j, v) in fixes {
+            lower[j] = v;
+            upper[j] = v;
+        }
+        // Row values with every structural at its lower bound; the rows the
+        // slack cannot absorb get an artificial.
+        let residual: Vec<f64> = lp
+            .rows
+            .iter()
+            .map(|row| {
+                let sign = row_sign(row);
+                sign * (row.rhs - row.coeffs.iter().map(|&(j, c)| c * lower[j]).sum::<f64>())
+            })
+            .collect();
+        let needs_artificial: Vec<bool> = residual
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| r < -EPS || (upper[n + i] == 0.0 && r > EPS))
+            .collect();
+        let phase1 = needs_artificial.iter().any(|&a| a);
+        // Columns: the free structurals, then the slacks of rows whose
+        // artificial is basic (equality slacks are fixed and never columns).
+        let mut nonb: Vec<usize> = (0..n).filter(|&j| lower[j] < upper[j]).collect();
+        nonb.extend(
+            (0..m)
+                .filter(|&i| needs_artificial[i] && upper[n + i] > 0.0)
+                .map(|i| n + i),
+        );
+        let cols = nonb.len();
+        let stride = cols + 1;
+        let mut col_of = vec![usize::MAX; n + m];
+        for (k, &v) in nonb.iter().enumerate() {
+            col_of[v] = k;
+        }
+        let cost_rows = if phase1 { 2 } else { 1 };
+        let mut cells = vec![0.0; (m + cost_rows) * stride];
+        let mut head = Vec::with_capacity(m);
+        for (i, row) in lp.rows.iter().enumerate() {
+            let line = &mut cells[i * stride..(i + 1) * stride];
+            let mut sign = row_sign(row);
+            if needs_artificial[i] {
+                // ρ·a'x + s + σ·art = ρ·b with σ the residual's sign, so the
+                // artificial starts at |residual|; divide the row by σ.
+                let sigma = residual[i].signum();
+                sign *= sigma;
+                if col_of[n + i] != usize::MAX {
+                    line[col_of[n + i]] = sigma;
+                }
+                head.push(n + m + i);
+                line[cols] = residual[i].abs();
+            } else {
+                head.push(n + i);
+                line[cols] = residual[i];
+            }
             for &(j, c) in &row.coeffs {
                 debug_assert!(j < n, "coefficient references unknown variable {j}");
-                t[i][j] += c;
-            }
-            t[i][num_cols] = row.rhs;
-            match row.sense {
-                Sense::Le => {
-                    let col = first_slack + slack_i;
-                    slack_i += 1;
-                    t[i][col] = 1.0;
-                    basis[i] = col;
-                }
-                Sense::Ge => {
-                    let col = first_slack + slack_i;
-                    slack_i += 1;
-                    t[i][col] = -1.0;
-                    let art = first_artificial + art_i;
-                    art_i += 1;
-                    t[i][art] = 1.0;
-                    basis[i] = art;
-                }
-                Sense::Eq => {
-                    let art = first_artificial + art_i;
-                    art_i += 1;
-                    t[i][art] = 1.0;
-                    basis[i] = art;
+                if col_of[j] != usize::MAX {
+                    line[col_of[j]] += sign * c;
                 }
             }
         }
-        // Phase-1 reduced costs: sum of artificial rows subtracted.
-        let mut cost = vec![0.0; width];
-        for (i, &b) in basis.iter().enumerate() {
-            if b >= first_artificial {
-                for k in 0..width {
-                    cost[k] -= t[i][k];
-                }
+        // Objective row: the basic slacks and artificials cost nothing.
+        let obj = m * stride;
+        for (k, &v) in nonb.iter().enumerate() {
+            if v < n {
+                cells[obj + k] = lp.objective[v];
             }
         }
-        for a in 0..num_art {
-            cost[first_artificial + a] = 0.0;
+        cells[obj + cols] = (0..n).map(|j| lp.objective[j] * lower[j]).sum();
+        if phase1 {
+            // Phase-1 row: minimise the sum of the artificials.
+            let p1 = (m + 1) * stride;
+            for i in (0..m).filter(|&i| needs_artificial[i]) {
+                for k in 0..=cols {
+                    cells[p1 + k] -= cells[i * stride + k];
+                }
+            }
+            cells[p1 + cols] = -cells[p1 + cols];
+            lower.resize(n + 2 * m, 0.0);
+            upper.resize(n + 2 * m, f64::INFINITY);
         }
-        // Phase-2 reduced costs start at the raw objective (all initial basic
-        // variables have zero objective coefficient).
-        let mut cost2 = vec![0.0; width];
-        cost2[..n].copy_from_slice(&lp.objective);
+        let at_upper = vec![false; lower.len()];
         Tableau {
-            rows: t,
-            basis,
-            cost,
-            cost2,
+            cells,
+            rows: m,
+            cols,
+            stride,
+            head,
+            nonb,
+            lower,
+            upper,
+            at_upper,
             num_structural: n,
-            first_artificial,
-            num_cols,
-            deadline: None,
         }
     }
 
-    fn solve(mut self, max_pivots: usize, deadline: Option<std::time::Instant>) -> LpOutcome {
-        self.deadline = deadline;
-        let mut pivots_left = max_pivots;
-        // Phase 1.
-        match self.optimize(self.first_artificial, true, &mut pivots_left) {
-            Phase::PivotLimit => return LpOutcome::PivotLimit,
-            Phase::Unbounded => {
-                // Phase-1 objective is bounded below by 0; cannot happen.
-                debug_assert!(false, "phase-1 unbounded");
-                return LpOutcome::Infeasible;
-            }
-            Phase::Converged => {}
-        }
-        if -self.cost[self.num_cols] > 1e-6 {
-            return LpOutcome::Infeasible;
-        }
-        self.expel_artificials();
-        // Phase 2 on the original objective.
-        self.cost = std::mem::take(&mut self.cost2);
-        match self.optimize(self.first_artificial, false, &mut pivots_left) {
-            Phase::PivotLimit => LpOutcome::PivotLimit,
-            Phase::Unbounded => LpOutcome::Unbounded,
-            Phase::Converged => {
-                let mut values = vec![0.0; self.num_structural];
-                for (i, &b) in self.basis.iter().enumerate() {
-                    if b < self.num_structural {
-                        values[b] = self.rows[i][self.num_cols];
-                    }
-                }
-                let objective = -self.cost[self.num_cols];
-                LpOutcome::Optimal(LpSolution { values, objective })
-            }
+    fn cost_rows(&self) -> usize {
+        self.cells.len() / self.stride - self.rows
+    }
+
+    fn at(&self, i: usize, k: usize) -> f64 {
+        self.cells[i * self.stride + k]
+    }
+
+    /// Value cell of row `i`: a basic value, or an objective value.
+    fn value(&self, i: usize) -> f64 {
+        self.at(i, self.stride - 1)
+    }
+
+    fn set_value(&mut self, i: usize, v: f64) {
+        self.cells[(i + 1) * self.stride - 1] = v;
+    }
+
+    fn is_fixed(&self, v: usize) -> bool {
+        self.lower[v] == self.upper[v]
+    }
+
+    /// Current value of nonbasic variable `v`.
+    fn bound_value(&self, v: usize) -> f64 {
+        if self.at_upper[v] {
+            self.upper[v]
+        } else {
+            self.lower[v]
         }
     }
 
-    /// Run simplex pivots over columns `< allowed_cols` until optimal.
-    fn optimize(&mut self, allowed_cols: usize, phase1: bool, pivots_left: &mut usize) -> Phase {
-        let rhs_col = self.num_cols;
-        let mut degenerate_run = 0usize;
-        let mut since_deadline_check = 0usize;
-        loop {
-            if *pivots_left == 0 {
-                return Phase::PivotLimit;
-            }
-            since_deadline_check += 1;
-            if since_deadline_check >= 8 {
-                since_deadline_check = 0;
-                if let Some(d) = self.deadline {
-                    if std::time::Instant::now() >= d {
-                        return Phase::PivotLimit;
-                    }
-                }
-            }
-            let bland = degenerate_run >= DEGENERATE_LIMIT;
-            // Entering column.
-            let mut enter = None;
-            let mut best = -EPS;
-            for j in 0..allowed_cols {
-                if !phase1 && j >= self.first_artificial {
-                    break;
-                }
-                let r = self.cost[j];
-                if r < -EPS {
-                    if bland {
-                        enter = Some(j);
-                        break;
-                    }
-                    if r < best {
-                        best = r;
-                        enter = Some(j);
-                    }
-                }
-            }
-            let Some(enter) = enter else {
-                return Phase::Converged;
-            };
-            // Ratio test.
-            let mut leave: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for i in 0..self.rows.len() {
-                let a = self.rows[i][enter];
-                if a > EPS {
-                    let ratio = self.rows[i][rhs_col] / a;
-                    let better = ratio < best_ratio - EPS
-                        || (ratio < best_ratio + EPS
-                            && leave.is_some_and(|l| self.basis[i] < self.basis[l]));
-                    if better {
-                        best_ratio = ratio;
-                        leave = Some(i);
-                    }
-                }
-            }
-            let Some(leave) = leave else {
-                return Phase::Unbounded;
-            };
-            if best_ratio < EPS {
-                degenerate_run += 1;
+    /// Move the nonbasic variable in column `k` by `delta`, updating the
+    /// basic values and the objective values.
+    fn shift(&mut self, k: usize, delta: f64) {
+        if delta == 0.0 {
+            return;
+        }
+        let s = self.stride;
+        for (i, line) in self.cells.chunks_exact_mut(s).enumerate() {
+            if i < self.rows {
+                line[s - 1] -= line[k] * delta;
             } else {
-                degenerate_run = 0;
+                line[s - 1] += line[k] * delta;
             }
-            self.pivot(leave, enter, phase1);
-            *pivots_left -= 1;
         }
     }
 
-    fn pivot(&mut self, row: usize, col: usize, update_cost2: bool) {
-        let rhs_col = self.num_cols;
-        let pivot_val = self.rows[row][col];
-        debug_assert!(pivot_val.abs() > EPS);
-        let inv = 1.0 / pivot_val;
-        for v in &mut self.rows[row] {
+    /// Exchange basic row `r` with nonbasic column `k` (the Tucker pivot);
+    /// values are left untouched.
+    fn pivot(&mut self, r: usize, k: usize) {
+        let s = self.stride;
+        let cols = self.cols;
+        let (before, rest) = self.cells.split_at_mut(r * s);
+        let (prow, after) = rest.split_at_mut(s);
+        let inv = 1.0 / prow[k];
+        for v in &mut prow[..cols] {
             *v *= inv;
         }
-        // Re-normalize the pivot element exactly.
-        self.rows[row][col] = 1.0;
-        let pivot_row = std::mem::take(&mut self.rows[row]);
-        for (i, r) in self.rows.iter_mut().enumerate() {
-            if i == row {
-                continue;
-            }
-            let factor = r[col];
-            if factor.abs() > EPS {
-                for (v, &p) in r.iter_mut().zip(&pivot_row) {
-                    *v -= factor * p;
+        prow[k] = inv;
+        let prow = &prow[..cols];
+        for line in before.chunks_exact_mut(s).chain(after.chunks_exact_mut(s)) {
+            let f = line[k];
+            if f != 0.0 {
+                for (v, &p) in line[..cols].iter_mut().zip(prow) {
+                    *v -= f * p;
                 }
-                r[col] = 0.0;
+                line[k] = -f * inv;
             }
         }
-        let factor = self.cost[col];
-        if factor.abs() > EPS {
-            for (v, &p) in self.cost.iter_mut().zip(&pivot_row) {
-                *v -= factor * p;
-            }
-            self.cost[col] = 0.0;
-        }
-        if update_cost2 {
-            let factor = self.cost2[col];
-            if factor.abs() > EPS {
-                for (v, &p) in self.cost2.iter_mut().zip(&pivot_row) {
-                    *v -= factor * p;
-                }
-                self.cost2[col] = 0.0;
-            }
-        }
-        self.rows[row] = pivot_row;
-        self.basis[row] = col;
-        let _ = rhs_col;
+        std::mem::swap(&mut self.head[r], &mut self.nonb[k]);
     }
 
-    /// After phase 1, pivot basic artificials (at value zero) out of the
-    /// basis where possible; rows where no pivot exists are redundant and
-    /// zeroed out.
-    fn expel_artificials(&mut self) {
-        for i in 0..self.rows.len() {
-            if self.basis[i] < self.first_artificial {
+    /// Move column `k`'s variable by `delta` and make it basic in row `r`,
+    /// whose variable leaves at its upper bound if `leave_upper`.
+    fn exchange(&mut self, r: usize, k: usize, delta: f64, leave_upper: bool) {
+        let entering = self.nonb[k];
+        let entering_value = self.bound_value(entering) + delta;
+        self.shift(k, delta);
+        let leaving = self.head[r];
+        self.at_upper[leaving] = leave_upper;
+        self.pivot(r, k);
+        self.set_value(r, entering_value);
+        self.at_upper[entering] = false;
+    }
+
+    /// Drop the columns of fixed nonbasic variables; their values are
+    /// already part of the basic values and objective values. The last
+    /// live column moves into each dropped one, so rows keep their stride.
+    fn compact(&mut self) {
+        let mut k = 0;
+        while k < self.cols {
+            if !self.is_fixed(self.nonb[k]) {
+                k += 1;
                 continue;
             }
-            let mut pivot_col = None;
-            for j in 0..self.first_artificial {
-                if self.rows[i][j].abs() > 1e-7 {
-                    pivot_col = Some(j);
-                    break;
+            let last = self.cols - 1;
+            for line in self.cells.chunks_exact_mut(self.stride) {
+                line[k] = line[last];
+            }
+            self.nonb.swap_remove(k);
+            self.cols = last;
+        }
+    }
+
+    /// Primal simplex on the objective row (or the phase-1 row) from a
+    /// primal feasible basis: `Optimal`, `Unbounded` or `PivotLimit`.
+    fn primal(&mut self, phase1: bool, budget: &mut Budget) -> Status {
+        let cost = if phase1 { self.rows + 1 } else { self.rows };
+        let mut degenerate_run = 0usize;
+        loop {
+            if !budget.take() {
+                return Status::PivotLimit;
+            }
+            let bland = degenerate_run >= DEGENERATE_LIMIT;
+            // Entering column: a reduced cost that improves in the
+            // direction the variable can move.
+            let mut enter = None;
+            let mut best = 0.0;
+            for k in 0..self.cols {
+                let v = self.nonb[k];
+                if self.is_fixed(v) {
+                    continue;
+                }
+                let d = self.at(cost, k);
+                let gain = if self.at_upper[v] { d } else { -d };
+                if gain > EPS {
+                    if bland {
+                        if enter.is_none_or(|e: usize| v < self.nonb[e]) {
+                            enter = Some(k);
+                        }
+                    } else if gain > best {
+                        best = gain;
+                        enter = Some(k);
+                    }
                 }
             }
-            match pivot_col {
-                Some(j) => self.pivot(i, j, true),
-                None => {
-                    // Redundant row: clear it so it can never bind.
-                    for v in &mut self.rows[i] {
-                        *v = 0.0;
-                    }
-                    // Keep the artificial basic at zero; harmless.
+            let Some(k) = enter else {
+                return Status::Optimal;
+            };
+            let v = self.nonb[k];
+            let dir = if self.at_upper[v] { -1.0 } else { 1.0 };
+            // Ratio test: how far the entering variable can move before a
+            // basic variable reaches a bound (or it reaches its own).
+            let limit = |t: &Tableau, i: usize, slack: f64| -> Option<(f64, bool)> {
+                let a = t.at(i, k) * dir;
+                let h = t.head[i];
+                if a > PIVOT_EPS {
+                    Some((((t.value(i) - t.lower[h]) + slack) / a, false))
+                } else if a < -PIVOT_EPS && t.upper[h].is_finite() {
+                    Some((((t.upper[h] - t.value(i)) + slack) / -a, true))
+                } else {
+                    None
                 }
+            };
+            let mut cap = f64::INFINITY;
+            for i in 0..self.rows {
+                if let Some((ratio, _)) = limit(self, i, if bland { 0.0 } else { EPS }) {
+                    cap = cap.min(ratio);
+                }
+            }
+            let flip = self.upper[v] - self.lower[v];
+            if flip <= cap {
+                if flip == f64::INFINITY {
+                    return Status::Unbounded;
+                }
+                self.shift(k, dir * flip);
+                self.at_upper[v] = !self.at_upper[v];
+                degenerate_run = 0;
+                continue;
+            }
+            let mut leave: Option<(usize, f64, bool)> = None;
+            for i in 0..self.rows {
+                let Some((ratio, to_upper)) = limit(self, i, 0.0) else {
+                    continue;
+                };
+                if ratio > cap {
+                    continue;
+                }
+                let better = match leave {
+                    None => true,
+                    Some((l, best_ratio, _)) if bland => {
+                        ratio < best_ratio - EPS
+                            || (ratio < best_ratio + EPS && self.head[i] < self.head[l])
+                    }
+                    Some((l, _, _)) => self.at(i, k).abs() > self.at(l, k).abs(),
+                };
+                if better {
+                    leave = Some((i, ratio, to_upper));
+                }
+            }
+            let (r, ratio, to_upper) = leave.expect("a finite cap has a blocking row");
+            let step = ratio.max(0.0);
+            degenerate_run = if step < EPS { degenerate_run + 1 } else { 0 };
+            let leaving = self.head[r];
+            self.exchange(r, k, dir * step, to_upper);
+            if phase1 && leaving >= self.num_structural + self.rows {
+                // An artificial that left the basis never returns.
+                self.upper[leaving] = 0.0;
             }
         }
+    }
+
+    /// Before phase 2: pivot the basic artificials and the basic equality
+    /// slacks out (they sit at zero), drop the rows where no pivot exists
+    /// as redundant, then drop the artificials and the phase-1 row.
+    fn expel(&mut self) {
+        let first_artificial = self.num_structural + self.rows;
+        for v in first_artificial..self.upper.len() {
+            self.upper[v] = 0.0;
+        }
+        let mut i = 0;
+        while i < self.rows {
+            let h = self.head[i];
+            if h < self.num_structural || !self.is_fixed(h) {
+                i += 1;
+                continue;
+            }
+            let mut pick: Option<usize> = None;
+            for k in 0..self.cols {
+                let a = self.at(i, k).abs();
+                if a > EXPEL_EPS
+                    && !self.is_fixed(self.nonb[k])
+                    && pick.is_none_or(|p| a > self.at(i, p).abs())
+                {
+                    pick = Some(k);
+                }
+            }
+            match pick {
+                Some(k) => {
+                    let delta = (self.value(i) - self.lower[h]) / self.at(i, k);
+                    self.exchange(i, k, delta, false);
+                    i += 1;
+                }
+                None => self.remove_row(i),
+            }
+        }
+        self.compact();
+        self.cells.truncate((self.rows + 1) * self.stride);
+        self.lower.truncate(first_artificial);
+        self.upper.truncate(first_artificial);
+        self.at_upper.truncate(first_artificial);
+    }
+
+    fn remove_row(&mut self, i: usize) {
+        let s = self.stride;
+        self.cells.drain(i * s..(i + 1) * s);
+        self.head.remove(i);
+        self.rows -= 1;
+    }
+
+    /// Fix variable `v` (structural) to `value`. A nonbasic variable moves
+    /// to the value at once and its column is dropped at the next
+    /// [`Tableau::reoptimize`]; a basic one is pivoted out there.
+    pub(crate) fn fix(&mut self, v: usize, value: f64) {
+        if self.lower[v] == value && self.upper[v] == value {
+            return;
+        }
+        if let Some(k) = self.nonb.iter().position(|&x| x == v) {
+            let delta = value - self.bound_value(v);
+            self.shift(k, delta);
+        }
+        self.lower[v] = value;
+        self.upper[v] = value;
+        self.at_upper[v] = false;
+    }
+
+    /// Restore primal feasibility after [`Tableau::fix`] calls by dual
+    /// simplex, then clean up any dual infeasibility left by the ratio
+    /// tolerances with primal pivots.
+    pub(crate) fn reoptimize(&mut self, budget: &mut Budget) -> Status {
+        // Fixed structurals still basic leave first, so their columns drop.
+        for i in 0..self.rows {
+            let h = self.head[i];
+            if h >= self.num_structural || !self.is_fixed(h) {
+                continue;
+            }
+            let x = self.value(i);
+            let pivoted = if x < self.lower[h] - EPS {
+                self.dual_pivot(i, true)
+            } else if x > self.upper[h] + EPS {
+                self.dual_pivot(i, false)
+            } else {
+                self.dual_pivot(i, false) || self.dual_pivot(i, true)
+            };
+            if !pivoted && (x - self.lower[h]).abs() > EPS {
+                return Status::Infeasible;
+            }
+        }
+        self.compact();
+        let mut degenerate_run = 0usize;
+        loop {
+            if !budget.take() {
+                return Status::PivotLimit;
+            }
+            let bland = degenerate_run >= DEGENERATE_LIMIT;
+            // Leaving row: the largest bound violation.
+            let mut leave: Option<(usize, bool)> = None;
+            let mut worst = EPS;
+            for i in 0..self.rows {
+                let h = self.head[i];
+                let x = self.value(i);
+                let (gap, up) = if x < self.lower[h] {
+                    (self.lower[h] - x, true)
+                } else {
+                    (x - self.upper[h], false)
+                };
+                if gap > EPS {
+                    if bland {
+                        if leave.is_none_or(|(l, _)| h < self.head[l]) {
+                            leave = Some((i, up));
+                        }
+                    } else if gap > worst {
+                        worst = gap;
+                        leave = Some((i, up));
+                    }
+                }
+            }
+            let Some((r, up)) = leave else {
+                break;
+            };
+            let before = self.value(self.rows);
+            if !self.dual_pivot(r, up) {
+                return Status::Infeasible;
+            }
+            degenerate_run = if (self.value(self.rows) - before).abs() < EPS {
+                degenerate_run + 1
+            } else {
+                0
+            };
+        }
+        self.primal(false, budget)
+    }
+
+    /// One dual simplex pivot on row `r`: its basic variable moves up (or
+    /// down) to the nearer bound in that direction and leaves. The entering
+    /// column keeps every reduced cost's sign (Harris' two-pass ratio test
+    /// on the objective row). Returns `false` if no column can move the
+    /// row that way.
+    fn dual_pivot(&mut self, r: usize, up: bool) -> bool {
+        let cost = self.rows;
+        // Column k can raise row r's basic variable if moving k in its
+        // free direction has a < 0 effect on a·Δx.
+        let ratio = |t: &Tableau, k: usize, slack: f64| -> Option<f64> {
+            let v = t.nonb[k];
+            if t.is_fixed(v) {
+                return None;
+            }
+            let a = t.at(r, k);
+            let dir = if t.at_upper[v] { -1.0 } else { 1.0 };
+            let effect = if up { -a * dir } else { a * dir };
+            if effect > PIVOT_EPS {
+                let d = (t.at(cost, k) * dir).max(0.0);
+                Some((d + slack) / a.abs())
+            } else {
+                None
+            }
+        };
+        let mut cap = f64::INFINITY;
+        for k in 0..self.cols {
+            if let Some(q) = ratio(self, k, EPS) {
+                cap = cap.min(q);
+            }
+        }
+        if cap == f64::INFINITY {
+            return false;
+        }
+        let mut enter: Option<usize> = None;
+        for k in 0..self.cols {
+            if ratio(self, k, 0.0).is_some_and(|q| q <= cap)
+                && enter.is_none_or(|e| self.at(r, k).abs() > self.at(r, e).abs())
+            {
+                enter = Some(k);
+            }
+        }
+        let k = enter.expect("cap is attained");
+        let h = self.head[r];
+        let target = if up { self.lower[h] } else { self.upper[h] };
+        let delta = (self.value(r) - target) / self.at(r, k);
+        self.exchange(r, k, delta, !up && self.lower[h] != self.upper[h]);
+        true
+    }
+
+    /// The current basic solution in structural variables, with its
+    /// objective recomputed from the values.
+    pub(crate) fn solution(&self, lp: &Lp) -> LpSolution {
+        let n = self.num_structural;
+        let mut values: Vec<f64> = (0..n).map(|j| self.bound_value(j)).collect();
+        for (i, &h) in self.head.iter().enumerate() {
+            if h < n {
+                values[h] = self.value(i);
+            }
+        }
+        let objective = values.iter().zip(&lp.objective).map(|(x, c)| x * c).sum();
+        LpSolution { values, objective }
     }
 }
 
-enum Phase {
-    Converged,
-    Unbounded,
-    PivotLimit,
+/// `-1` for a `>=` row (stored negated as `<=`), `+1` otherwise.
+fn row_sign(row: &Row) -> f64 {
+    if row.sense == Sense::Ge {
+        -1.0
+    } else {
+        1.0
+    }
 }
 
 #[cfg(test)]
@@ -638,5 +998,136 @@ mod tests {
         assert!((s.objective + 13.0).abs() < 1e-6);
         assert!((s.values[0] - 1.0).abs() < 1e-6);
         assert!((s.values[1] - 0.5).abs() < 1e-6);
+    }
+}
+
+#[cfg(test)]
+mod warm_tests {
+    //! Differential: a tableau re-optimised by dual simplex after each
+    //! step of a fix chain against a cold solve of the same bounds.
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random LP over 0/1-bounded variables (a few continuous ones with
+    /// other bounds) whose rows all hold at the returned 0/1 point.
+    fn random_model(rng: &mut StdRng) -> (Lp, Vec<f64>) {
+        let n = rng.gen_range(20..60);
+        let upper: Vec<f64> = (0..n)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 2.5,
+                1 => f64::INFINITY,
+                _ => 1.0,
+            })
+            .collect();
+        let point: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0..2u8))).collect();
+        let mut rows = Vec::new();
+        for _ in 0..rng.gen_range(n / 3..2 * n / 3 + 1) {
+            let mut coeffs: Vec<(usize, f64)> = Vec::new();
+            for j in 0..n {
+                if rng.gen_bool(0.25) {
+                    coeffs.push((j, f64::from(rng.gen_range(-5..=5i8))));
+                }
+            }
+            if coeffs.is_empty() {
+                continue;
+            }
+            let at: f64 = coeffs.iter().map(|&(j, c)| c * point[j]).sum();
+            let (sense, rhs) = match rng.gen_range(0..8) {
+                0 => (Sense::Eq, at),
+                1..=3 => (Sense::Ge, at - f64::from(rng.gen_range(0..4u8))),
+                _ => (Sense::Le, at + f64::from(rng.gen_range(0..4u8))),
+            };
+            rows.push(Row { coeffs, sense, rhs });
+        }
+        // Unbounded variables are capped by a row so the LP stays bounded.
+        for j in (0..n).filter(|&j| upper[j].is_infinite()) {
+            rows.push(Row {
+                coeffs: vec![(j, 1.0)],
+                sense: Sense::Le,
+                rhs: 3.0,
+            });
+        }
+        let lp = Lp {
+            num_vars: n,
+            objective: (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect(),
+            rows,
+            upper,
+        };
+        (lp, point)
+    }
+
+    fn cold(lp: &Lp, fixes: &[(usize, f64)]) -> (Status, Tableau) {
+        Tableau::cold(lp, fixes, &mut Budget::new(100_000, None))
+    }
+
+    #[test]
+    fn warm_dual_resolve_matches_cold_solve() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_d0a1);
+        let (mut steps, mut infeasible, mut deep) = (0usize, 0usize, 0usize);
+        for model in 0..200 {
+            let (lp, point) = random_model(&mut rng);
+            let (status, mut warm) = cold(&lp, &[]);
+            assert_eq!(status, Status::Optimal, "model {model}: root");
+            let mut fixes: Vec<(usize, f64)> = Vec::new();
+            let depth = rng.gen_range(1..=40);
+            for step in 0..depth {
+                let free: Vec<usize> = (0..lp.num_vars)
+                    .filter(|j| !fixes.iter().any(|(f, _)| f == j))
+                    .collect();
+                if free.is_empty() {
+                    break;
+                }
+                // One to three fixes at once, as a branching decision and
+                // the fixes it implies arrive together. Most agree with the
+                // point every row holds at, so chains run deep; the rest
+                // mostly take the rounded LP value, as a dive does.
+                let values = warm.solution(&lp).values;
+                let count = [1, 1, 1, 1, 1, 1, 1, 2, 2, 3][rng.gen_range(0..10)];
+                for _ in 0..free.len().min(count) {
+                    let j = free[rng.gen_range(0..free.len())];
+                    if fixes.iter().any(|(f, _)| *f == j) {
+                        continue;
+                    }
+                    let rounded = values[j].round().clamp(0.0, 1.0);
+                    let v = match rng.gen_range(0..20) {
+                        0..=16 => point[j],
+                        17 | 18 => rounded,
+                        _ => 1.0 - rounded,
+                    };
+                    fixes.push((j, v));
+                    warm.fix(j, v);
+                }
+                steps += 1;
+                if step >= 20 {
+                    deep += 1;
+                }
+                let got = warm.reoptimize(&mut Budget::new(100_000, None));
+                let (want, reference) = cold(&lp, &fixes);
+                assert_eq!(got, want, "model {model}, step {step}, fixes {fixes:?}");
+                if want != Status::Optimal {
+                    infeasible += 1;
+                    break;
+                }
+                let (w, c) = (warm.solution(&lp), reference.solution(&lp));
+                assert!(
+                    (w.objective - c.objective).abs() <= 1e-7 * c.objective.abs().max(1.0),
+                    "model {model}, step {step}: warm {} vs cold {}",
+                    w.objective,
+                    c.objective
+                );
+                for &(j, v) in &fixes {
+                    assert!(
+                        (w.values[j] - v).abs() < 1e-9,
+                        "model {model}, step {step}: x{j}"
+                    );
+                }
+            }
+        }
+        // The chains go deep and reach both verdicts many times.
+        assert!(
+            steps > 2_000 && deep > 150 && infeasible > 50,
+            "{steps} steps, {deep} past depth 20, {infeasible} infeasible"
+        );
     }
 }
