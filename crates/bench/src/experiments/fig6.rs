@@ -155,8 +155,10 @@ fn table_of(results: Vec<(Setting, Vec<CaseOutcome>)>) -> Vec<ResultTable> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muve_core::ilp_plan;
+    use muve_core::{greedy_plan, ilp_plan, Multiplot};
     use muve_solver::MipStatus;
+    use rustc_hash::FxHasher;
+    use std::hash::Hasher;
 
     #[test]
     fn quick_run_produces_rows() {
@@ -287,5 +289,70 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `(candidates, rows, pin)`: the greedy planner's output on 32 seeded
+    /// fig6 cases per setting, on a 750 px screen. The pin is one FxHash
+    /// over, per case, the `serde_json` of the multiplot followed by the
+    /// bits of its expected cost. Recorded from the string-keyed greedy
+    /// planner that preceded the index-based one; any change to a picked
+    /// plot, a label, a title or a cost bit changes the pin.
+    const GREEDY_PINS: [(usize, usize, u64); 8] = [
+        (5, 1, 14237736161967547817),
+        (5, 3, 4840778447842401121),
+        (10, 1, 10709894275182455927),
+        (10, 3, 17493316356148547132),
+        (20, 1, 12417729410999077312),
+        (20, 3, 15920105419490411058),
+        (50, 1, 3009566419194210378),
+        (50, 3, 14980433539626958172),
+    ];
+
+    /// A multiplot as JSON: rows of plots, each plot its title and its
+    /// bars (candidate, label, highlighted) in x-axis order.
+    fn multiplot_json(m: &Multiplot) -> String {
+        let rows: Vec<serde_json::Value> = m
+            .rows
+            .iter()
+            .map(|row| {
+                let plots: Vec<serde_json::Value> = row
+                    .iter()
+                    .map(|p| {
+                        let bars: Vec<serde_json::Value> = p
+                            .entries
+                            .iter()
+                            .map(|e| {
+                                serde_json::json!({
+                                    "candidate": e.candidate,
+                                    "label": e.label,
+                                    "highlighted": e.highlighted,
+                                })
+                            })
+                            .collect();
+                        serde_json::json!({ "title": p.title, "entries": bars })
+                    })
+                    .collect();
+                serde_json::json!(plots)
+            })
+            .collect();
+        serde_json::to_string(&serde_json::json!({ "rows": rows })).unwrap()
+    }
+
+    #[test]
+    fn greedy_output_matches_pins() {
+        let table = dataset_table(Dataset::Nyc311, 5_000, 311);
+        let model = UserCostModel::default();
+        let mut got = Vec::new();
+        for &(candidates, rows, _) in &GREEDY_PINS {
+            let screen = ScreenConfig::with_width(750, rows);
+            let mut h = FxHasher::default();
+            for case in test_cases(&table, 32, 5, candidates, 606 + candidates as u64) {
+                let m = greedy_plan(&case.candidates, &screen, &model);
+                h.write(multiplot_json(&m).as_bytes());
+                h.write_u64(model.expected_cost(&m, &case.candidates).to_bits());
+            }
+            got.push((candidates, rows, h.finish()));
+        }
+        assert_eq!(got, GREEDY_PINS);
     }
 }

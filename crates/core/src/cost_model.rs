@@ -65,6 +65,37 @@ impl MultiplotCounts {
             red_plots: m.num_red_plots(),
         }
     }
+
+    /// Count one more plot of `bars` bars, `red_bars` of them highlighted.
+    pub(crate) fn add_plot(&mut self, bars: usize, red_bars: usize) {
+        self.bars += bars;
+        self.red_bars += red_bars;
+        self.plots += 1;
+        self.red_plots += usize::from(red_bars > 0);
+    }
+}
+
+/// How a candidate's result appears in a multiplot; a candidate shown in
+/// several plots takes the best (highest) of its bars.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Seen {
+    /// Not on display (case 3, `D_M`).
+    Missing,
+    /// Shown, but in no highlighted bar (case 2, `D_V`).
+    Visible,
+    /// Shown in a highlighted bar (case 1, `D_R`).
+    Highlighted,
+}
+
+impl Seen {
+    /// The case of one bar.
+    pub(crate) fn of(highlighted: bool) -> Seen {
+        if highlighted {
+            Seen::Highlighted
+        } else {
+            Seen::Visible
+        }
+    }
 }
 
 impl UserCostModel {
@@ -91,21 +122,36 @@ impl UserCostModel {
     /// Candidates' probabilities need not sum to one; any residual mass
     /// (interpretations outside the candidate set) is charged `D_M`.
     pub fn expected_cost(&self, multiplot: &Multiplot, candidates: &[Candidate]) -> f64 {
-        let counts = MultiplotCounts::of(multiplot);
-        let d_r = self.d_red(counts);
-        let d_v = self.d_visible(counts);
+        let mut seen = vec![Seen::Missing; candidates.len()];
+        for e in multiplot.plots().flat_map(|p| &p.entries) {
+            // Bars of candidates outside the distribution still count.
+            if let Some(s) = seen.get_mut(e.candidate) {
+                *s = (*s).max(Seen::of(e.highlighted));
+            }
+        }
+        let probabilities: Vec<f64> = candidates.iter().map(|c| c.probability).collect();
+        self.cost_of(&seen, MultiplotCounts::of(multiplot), &probabilities)
+    }
+
+    /// The cost kernel behind [`UserCostModel::expected_cost`]: `seen[i]`
+    /// is how candidate `i`, of probability `probabilities[i]`, appears in
+    /// a multiplot with `counts`. Sums `r_i · case_cost(i)` in candidate
+    /// order, so a caller that tracks `seen` and `counts` incrementally
+    /// gets the same bits as pricing the materialised multiplot.
+    pub(crate) fn cost_of(
+        &self,
+        seen: &[Seen],
+        counts: MultiplotCounts,
+        probabilities: &[f64],
+    ) -> f64 {
+        debug_assert_eq!(seen.len(), probabilities.len());
+        // Indexed by `Seen`.
+        let case_cost = [self.miss_ms, self.d_visible(counts), self.d_red(counts)];
         let mut cost = 0.0;
         let mut covered = 0.0;
-        for (i, c) in candidates.iter().enumerate() {
-            covered += c.probability;
-            cost += c.probability
-                * if multiplot.highlights(i) {
-                    d_r
-                } else if multiplot.shows(i) {
-                    d_v
-                } else {
-                    self.miss_ms
-                };
+        for (p, s) in probabilities.iter().zip(seen) {
+            covered += p;
+            cost += p * case_cost[*s as usize];
         }
         cost + (1.0 - covered).max(0.0) * self.miss_ms
     }
@@ -123,6 +169,8 @@ mod tests {
     use super::*;
     use crate::plot::{Plot, PlotEntry};
     use muve_dbms::parse;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn cands(probs: &[f64]) -> Vec<Candidate> {
         probs
@@ -254,5 +302,57 @@ mod tests {
         };
         assert_eq!(model.d_red(c), 2.0 * 5.0 + 1.0 * 50.0);
         assert_eq!(model.d_visible(c), 2.0 * 60.0 + 4.0 * 5.0 + 2.0 * 50.0);
+    }
+
+    /// The paper's formula read literally: each candidate's case from
+    /// [`Multiplot::highlights`] / [`Multiplot::shows`].
+    fn reference_cost(model: &UserCostModel, m: &Multiplot, candidates: &[Candidate]) -> f64 {
+        let counts = MultiplotCounts::of(m);
+        let (d_r, d_v) = (model.d_red(counts), model.d_visible(counts));
+        let mut cost = 0.0;
+        let mut covered = 0.0;
+        for (i, c) in candidates.iter().enumerate() {
+            covered += c.probability;
+            cost += c.probability
+                * if m.highlights(i) {
+                    d_r
+                } else if m.shows(i) {
+                    d_v
+                } else {
+                    model.miss_ms
+                };
+        }
+        cost + (1.0 - covered).max(0.0) * model.miss_ms
+    }
+
+    #[test]
+    fn kernel_matches_reference_bit_for_bit() {
+        let model = UserCostModel::default();
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..500 {
+            let n = rng.gen_range(1usize..30);
+            let probs: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() / n as f64).collect();
+            let candidates = cands(&probs);
+            // Candidates repeat across plots, highlighted in some and not
+            // in others; some bars show queries outside the distribution.
+            let rows = (0..rng.gen_range(1usize..4))
+                .map(|_| {
+                    (0..rng.gen_range(0usize..4))
+                        .map(|_| {
+                            let bars: Vec<(usize, bool)> = (0..rng.gen_range(1usize..6))
+                                .map(|_| (rng.gen_range(0..n + 2), rng.gen_bool(0.3)))
+                                .collect();
+                            plot(&bars)
+                        })
+                        .collect()
+                })
+                .collect();
+            let m = Multiplot { rows };
+            assert_eq!(
+                model.expected_cost(&m, &candidates).to_bits(),
+                reference_cost(&model, &m, &candidates).to_bits(),
+                "{m:?}"
+            );
+        }
     }
 }

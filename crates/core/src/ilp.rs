@@ -15,7 +15,7 @@
 //! processing cost or a weighted objective term.
 
 use crate::cost_model::UserCostModel;
-use crate::greedy::{greedy_plan, group_templates};
+use crate::greedy::{greedy_plan, greedy_plan_grouped, group_templates, Templates};
 use crate::plot::{Multiplot, Plot, PlotEntry, ScreenConfig};
 use crate::query::Candidate;
 use muve_solver::{solve_mip, Direction, Expr, MipConfig, MipStatus, Model, Var};
@@ -138,13 +138,13 @@ pub fn ilp_plan(
         .map(|j| (0..rows).map(|r| m.binary(format!("p_{j}_{r}"))).collect())
         .collect();
     let mut qh: FxHashMap<(usize, usize, usize), (Var, Var)> = FxHashMap::default();
-    for (j, (_, members)) in templates.iter().enumerate() {
-        for (i, _) in members {
+    for j in 0..n_t {
+        for (i, _) in templates.members(j) {
             for r in 0..rows {
                 // q <= p and h <= q imply the unit bounds.
                 let q3 = m.binary_implied(format!("q_{i}_{j}_{r}"));
                 let h3 = m.binary_implied(format!("h_{i}_{j}_{r}"));
-                qh.insert((*i, j, r), (q3, h3));
+                qh.insert((i, j, r), (q3, h3));
             }
         }
     }
@@ -166,11 +166,11 @@ pub fn ilp_plan(
         .collect();
 
     // --- Structural constraints ----------------------------------------
-    for (j, (_, members)) in templates.iter().enumerate() {
+    for j in 0..n_t {
         for r in 0..rows {
             let mut h_sum = Expr::zero();
-            for (i, _) in members {
-                let (q3, h3) = qh[&(*i, j, r)];
+            for (i, _) in templates.members(j) {
+                let (q3, h3) = qh[&(i, j, r)];
                 // Containment: q <= p, h <= q.
                 m.le(Expr::from(q3) - Expr::from(p[j][r]), 0.0);
                 m.le(Expr::from(h3) - Expr::from(q3), 0.0);
@@ -179,7 +179,7 @@ pub fn ilp_plan(
             // s_j^r consistency.
             m.le(Expr::from(s[j][r]) - Expr::from(p[j][r]), 0.0);
             m.le(Expr::from(s[j][r]) - h_sum.clone(), 0.0);
-            let n_j = members.len().max(1) as f64;
+            let n_j = templates.members(j).len().max(1) as f64;
             m.ge(Expr::from(s[j][r]) - h_sum * (1.0 / n_j), 0.0);
         }
     }
@@ -205,10 +205,10 @@ pub fn ilp_plan(
     let width = screen.width_bars();
     for r in 0..rows {
         let mut w_expr = Expr::zero();
-        for (j, (title, members)) in templates.iter().enumerate() {
-            w_expr += Expr::from(p[j][r]) * screen.plot_base_width(title);
-            for (i, _) in members {
-                let (q3, _) = qh[&(*i, j, r)];
+        for j in 0..n_t {
+            w_expr += Expr::from(p[j][r]) * screen.plot_base_width(templates.title(j));
+            for (i, _) in templates.members(j) {
+                let (q3, _) = qh[&(i, j, r)];
                 w_expr += Expr::from(q3);
             }
         }
@@ -342,23 +342,23 @@ fn extract(
     values: &[f64],
     index: &VarIndex,
     candidates: &[Candidate],
-    templates: &[(String, Vec<(usize, String)>)],
+    templates: &Templates,
     screen: &ScreenConfig,
 ) -> Multiplot {
     let on = |v: Var| values[v.index()] > 0.5;
     let mut multiplot = Multiplot::empty(screen.rows);
-    for (j, (title, members)) in templates.iter().enumerate() {
+    for j in 0..templates.len() {
         for r in 0..screen.rows {
             if !on(index.p[j][r]) {
                 continue;
             }
             let mut entries: Vec<PlotEntry> = Vec::new();
-            for (i, label) in members {
-                let (q3, h3) = index.qh[&(*i, j, r)];
+            for (i, label) in templates.members(j) {
+                let (q3, h3) = index.qh[&(i, j, r)];
                 if on(q3) {
                     entries.push(PlotEntry {
-                        candidate: *i,
-                        label: label.clone(),
+                        candidate: i,
+                        label: label.to_owned(),
                         highlighted: on(h3),
                     });
                 }
@@ -372,7 +372,7 @@ fn extract(
                     .total_cmp(&candidates[a.candidate].probability)
             });
             multiplot.rows[r].push(Plot {
-                title: title.clone(),
+                title: templates.title(j).to_owned(),
                 entries,
             });
         }
@@ -385,19 +385,21 @@ fn encode_warm_start(
     m: &Model,
     index: &VarIndex,
     candidates: &[Candidate],
-    templates: &[(String, Vec<(usize, String)>)],
+    templates: &Templates,
     screen: &ScreenConfig,
     user_model: &UserCostModel,
     cfg: &IlpConfig,
 ) -> Option<(Vec<f64>, f64)> {
     let greedy = match &cfg.seed {
         Some(seed) => seed.clone(),
+        // Pruned templates are the ones greedy groups itself.
+        None if !cfg.no_template_pruning => {
+            greedy_plan_grouped(candidates, templates, screen, user_model)
+        }
         None => greedy_plan(candidates, screen, user_model),
     };
-    let title_to_template: FxHashMap<&str, usize> = templates
-        .iter()
-        .enumerate()
-        .map(|(j, (t, _))| (t.as_str(), j))
+    let title_to_template: FxHashMap<&str, usize> = (0..templates.len())
+        .map(|j| (templates.title(j), j))
         .collect();
     let mut values = vec![0.0; m.num_vars()];
     let mut set = |v: Var, x: f64| values[v.index()] = x;
@@ -561,6 +563,28 @@ mod tests {
         };
         let out = ilp_plan(&candidates, &screen, &UserCostModel::default(), &cfg);
         assert!(out.multiplot.num_plots() > 0);
+    }
+
+    #[test]
+    fn warm_start_is_the_greedy_plan_with_and_without_pruning() {
+        let candidates = cands(&[0.3, 0.25, 0.2, 0.15, 0.1]);
+        let model = UserCostModel::default();
+        for rows in 1..=2 {
+            let screen = ScreenConfig::iphone(rows);
+            let greedy =
+                model.expected_cost(&greedy_plan(&candidates, &screen, &model), &candidates);
+            for no_template_pruning in [false, true] {
+                // No nodes: the outcome is the warm-start incumbent.
+                let cfg = IlpConfig {
+                    node_budget: Some(0),
+                    warm_start: true,
+                    no_template_pruning,
+                    ..IlpConfig::default()
+                };
+                let out = ilp_plan(&candidates, &screen, &model, &cfg);
+                assert_eq!(out.expected_cost.to_bits(), greedy.to_bits(), "{cfg:?}");
+            }
+        }
     }
 
     #[test]

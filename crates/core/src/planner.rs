@@ -6,8 +6,9 @@ use crate::greedy::greedy_plan;
 use crate::ilp::{ilp_plan, IlpConfig};
 use crate::plot::{Multiplot, ScreenConfig};
 use crate::query::Candidate;
+use muve_obs::{Counter, Histogram};
 use muve_solver::MipStatus;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which planning algorithm to run.
@@ -175,16 +176,23 @@ pub fn plan(
 
 /// Record a finished planning run into the global metric registry.
 fn record_plan_metrics(result: &PlanResult) {
+    // Every run touches these; look them up in the registry once.
+    static METRICS: OnceLock<[Arc<Counter>; 4]> = OnceLock::new();
+    static PLAN_US: OnceLock<Arc<Histogram>> = OnceLock::new();
     let obs = muve_obs::metrics();
-    obs.counter("planner.runs").incr();
-    obs.counter("planner.restarts").add(result.restarts as u64);
-    obs.counter("planner.incumbent_updates")
-        .add(result.incumbent_updates as u64);
-    obs.counter("planner.nodes").add(result.nodes as u64);
+    let [runs, restarts, incumbent_updates, nodes] = METRICS.get_or_init(|| {
+        ["runs", "restarts", "incumbent_updates", "nodes"]
+            .map(|name| obs.counter(&format!("planner.{name}")))
+    });
+    runs.incr();
+    restarts.add(result.restarts as u64);
+    incumbent_updates.add(result.incumbent_updates as u64);
+    nodes.add(result.nodes as u64);
     if result.timed_out {
         obs.counter("planner.timeouts").incr();
     }
-    obs.histogram("planner.plan_us")
+    PLAN_US
+        .get_or_init(|| obs.histogram("planner.plan_us"))
         .record_duration(result.planning_time);
 }
 

@@ -7,7 +7,9 @@
 //! x-axis labels. Templates are derived by masking, in turn, the aggregate
 //! function, the aggregated column, and each predicate constant.
 
-use muve_dbms::{PredOp, Predicate, Query, Value};
+use muve_dbms::{PredOp, Query, Value};
+use std::fmt::Write;
+use std::ops::Range;
 
 /// A candidate interpretation of the user's voice query.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,97 +52,156 @@ pub struct TemplateInstance {
 /// assert!(ts.iter().any(|t| t.title.contains("origin = ?") && t.label == "JFK"));
 /// ```
 pub fn templates_of(q: &Query) -> Vec<TemplateInstance> {
-    let mut out = Vec::new();
-    let agg = match q.aggregates.first() {
-        Some(a) => a,
-        None => return out,
-    };
-    /// Which part of predicate `i` is masked.
-    enum Skip {
-        None,
-        Value(usize),
-        Operator(usize),
-    }
-    let pred_text = |skip: &Skip| -> String {
-        if q.predicates.is_empty() {
-            return String::new();
-        }
-        let masked = |i: usize, p: &Predicate| -> String {
-            match (skip, &p.op) {
-                (Skip::Value(k), PredOp::Eq(_)) if *k == i => format!("{} = ?", p.column),
-                (Skip::Value(k), PredOp::Cmp(op, _)) if *k == i => {
-                    format!("{} {} ?", p.column, op)
-                }
-                (Skip::Operator(k), PredOp::Cmp(_, v)) if *k == i => {
-                    format!("{} ? {}", p.column, v)
-                }
-                _ => p.to_string(),
-            }
-        };
-        let parts: Vec<String> = q
-            .predicates
-            .iter()
-            .enumerate()
-            .map(|(i, p)| masked(i, p))
-            .collect();
-        format!(" where {}", parts.join(" and "))
-    };
-    let agg_text = |func: &str, col: &str| format!("{func}({col})");
-    let col_name = agg.column.as_deref().unwrap_or("*");
+    let mut buf = TemplateBuf::default();
+    buf.push(q);
+    (0..buf.len())
+        .map(|k| TemplateInstance {
+            title: buf.title(k).to_owned(),
+            label: buf.label(k).to_owned(),
+        })
+        .collect()
+}
 
-    // Mask the aggregation function.
-    out.push(TemplateInstance {
-        title: format!(
-            "{} from {}{}",
-            agg_text("?", col_name),
-            q.table,
-            pred_text(&Skip::None)
-        ),
-        label: agg.func.name().to_owned(),
-    });
-    // Mask the aggregated column (not applicable to count(*)).
-    if let Some(col) = &agg.column {
-        out.push(TemplateInstance {
-            title: format!(
-                "{} from {}{}",
-                agg_text(agg.func.name(), "?"),
-                q.table,
-                pred_text(&Skip::None)
-            ),
-            label: col.clone(),
-        });
+/// The templates of a sequence of queries, every title and label written
+/// into one text buffer, so that grouping can compare titles before any
+/// of them becomes a `String` of its own.
+#[derive(Debug, Default)]
+pub(crate) struct TemplateBuf {
+    /// Titles and labels, back to back.
+    text: String,
+    /// Per template, the byte ranges of its title and its label in `text`.
+    ranges: Vec<(Range<usize>, Range<usize>)>,
+    /// Byte ranges in `text` of the current query's predicates, unmasked.
+    spans: Vec<Range<usize>>,
+}
+
+impl TemplateBuf {
+    /// An empty buffer sized for the templates of about `queries` queries.
+    pub(crate) fn with_capacity(queries: usize) -> TemplateBuf {
+        TemplateBuf {
+            text: String::with_capacity(queries * 320),
+            ranges: Vec::with_capacity(queries * 5),
+            ..TemplateBuf::default()
+        }
     }
-    // Mask each predicate constant, and for comparison predicates also the
-    // operator (paper §2 Definition 2: "placeholders may substitute
-    // constants in predicates but also operators or aggregation functions").
-    for (i, p) in q.predicates.iter().enumerate() {
-        match &p.op {
-            PredOp::Eq(v) | PredOp::Cmp(_, v) => {
-                out.push(TemplateInstance {
-                    title: format!(
-                        "{} from {}{}",
-                        agg_text(agg.func.name(), col_name),
-                        q.table,
-                        pred_text(&Skip::Value(i))
-                    ),
-                    label: label_of(v),
-                });
+
+    /// Number of templates written so far.
+    pub(crate) fn len(&self) -> usize {
+        self.ranges.len()
+    }
+
+    /// Title of template `k`.
+    pub(crate) fn title(&self, k: usize) -> &str {
+        &self.text[self.ranges[k].0.clone()]
+    }
+
+    /// X-axis label of template `k`.
+    pub(crate) fn label(&self, k: usize) -> &str {
+        &self.text[self.ranges[k].1.clone()]
+    }
+
+    /// Append the templates `q` instantiates: the aggregate function, the
+    /// aggregated column (not for `count(*)`), then each predicate's
+    /// constant and, for a comparison, its operator (paper §2 Definition 2:
+    /// "placeholders may substitute constants in predicates but also
+    /// operators or aggregation functions").
+    pub(crate) fn push(&mut self, q: &Query) {
+        let Some(agg) = q.aggregates.first() else {
+            return;
+        };
+        let func = agg.func.name();
+        let col_name = agg.column.as_deref().unwrap_or("*");
+        // The first title renders every predicate unmasked; later titles
+        // copy them.
+        self.spans.clear();
+        self.template(q, ("?", col_name), None, Piece::Str(func));
+        if let Some(col) = &agg.column {
+            self.template(q, (func, "?"), None, Piece::Str(col));
+        }
+        for (i, p) in q.predicates.iter().enumerate() {
+            let (op, v) = match &p.op {
+                PredOp::Eq(v) => ("=", v),
+                PredOp::Cmp(op, v) => (op.symbol(), v),
+                PredOp::In(_) => continue,
+            };
+            self.template(
+                q,
+                (func, col_name),
+                Some((i, op, Piece::Str("?"))),
+                Piece::Value(v),
+            );
+            if let PredOp::Cmp(..) = p.op {
+                self.template(
+                    q,
+                    (func, col_name),
+                    Some((i, "?", Piece::Value(v))),
+                    Piece::Str(op),
+                );
             }
-            PredOp::In(_) => continue,
-        }
-        if let PredOp::Cmp(op, _) = &p.op {
-            out.push(TemplateInstance {
-                title: format!(
-                    "{} from {}{}",
-                    agg_text(agg.func.name(), col_name),
-                    q.table,
-                    pred_text(&Skip::Operator(i))
-                ),
-                label: op.symbol().to_owned(),
-            });
         }
     }
-    out
+
+    /// Write one template of `q`: the title `{f}({c}) from {table} where
+    /// p_0 and p_1 ...` for `head = (f, c)`, with predicate `k` of
+    /// `mask = Some((k, op, value))` written as `{column} {op} {value}`;
+    /// then its label.
+    fn template(
+        &mut self,
+        q: &Query,
+        head: (&str, &str),
+        mask: Option<(usize, &str, Piece)>,
+        label: Piece,
+    ) {
+        let TemplateBuf {
+            text,
+            ranges,
+            spans,
+        } = self;
+        let title_start = text.len();
+        text.push_str(head.0);
+        text.push('(');
+        text.push_str(head.1);
+        text.push_str(") from ");
+        text.push_str(&q.table);
+        for (i, p) in q.predicates.iter().enumerate() {
+            text.push_str(if i == 0 { " where " } else { " and " });
+            match (&mask, spans.get(i)) {
+                (Some((k, op, value)), _) if *k == i => {
+                    text.push_str(&p.column);
+                    text.push(' ');
+                    text.push_str(op);
+                    text.push(' ');
+                    value.write(text);
+                }
+                (_, Some(span)) => text.extend_from_within(span.clone()),
+                (_, None) => {
+                    let start = text.len();
+                    write!(text, "{p}").expect("writing to a String cannot fail");
+                    spans.push(start..text.len());
+                }
+            }
+        }
+        let label_start = text.len();
+        label.write(text);
+        ranges.push((title_start..label_start, label_start..text.len()));
+    }
+}
+
+/// A piece of template text: literal, or a constant as [`label_of`]
+/// renders it.
+enum Piece<'a> {
+    Str(&'a str),
+    Value(&'a Value),
+}
+
+impl Piece<'_> {
+    fn write(&self, text: &mut String) {
+        match self {
+            Piece::Str(s) => text.push_str(s),
+            Piece::Value(Value::Str(s)) => text.push_str(s),
+            Piece::Value(v) => write!(text, "{v}").expect("writing to a String cannot fail"),
+        }
+    }
 }
 
 /// Render a constant as an x-axis label.
@@ -233,5 +294,103 @@ mod tests {
         assert!(ts
             .iter()
             .any(|t| t.title.contains("m = ?") && t.label == "5"));
+    }
+
+    /// Titles are user-visible and their char count sets a plot's width,
+    /// so every byte of every template instance is pinned.
+    #[test]
+    fn golden_titles() {
+        let golden: &[(&str, &[(&str, &str)])] = &[
+            (
+                "select avg(delay) from flights where origin = 'JFK'",
+                &[
+                    ("?(delay) from flights where origin = 'JFK'", "avg"),
+                    ("avg(?) from flights where origin = 'JFK'", "delay"),
+                    ("avg(delay) from flights where origin = ?", "JFK"),
+                ],
+            ),
+            (
+                "select avg(v) from t where m < 5",
+                &[
+                    ("?(v) from t where m < 5", "avg"),
+                    ("avg(?) from t where m < 5", "v"),
+                    ("avg(v) from t where m < ?", "5"),
+                    ("avg(v) from t where m ? 5", "<"),
+                ],
+            ),
+            (
+                "select min(v) from t where m >= 2.5",
+                &[
+                    ("?(v) from t where m >= 2.5", "min"),
+                    ("min(?) from t where m >= 2.5", "v"),
+                    ("min(v) from t where m >= ?", "2.5"),
+                    ("min(v) from t where m ? 2.5", ">="),
+                ],
+            ),
+            (
+                "select sum(v) from t where k in ('a', 'b')",
+                &[
+                    ("?(v) from t where k in ('a', 'b')", "sum"),
+                    ("sum(?) from t where k in ('a', 'b')", "v"),
+                ],
+            ),
+            (
+                "select count(*) from t where a = 'x'",
+                &[
+                    ("?(*) from t where a = 'x'", "count"),
+                    ("count(*) from t where a = ?", "x"),
+                ],
+            ),
+            (
+                "select avg(v) from t where a = 'x' and b = 3",
+                &[
+                    ("?(v) from t where a = 'x' and b = 3", "avg"),
+                    ("avg(?) from t where a = 'x' and b = 3", "v"),
+                    ("avg(v) from t where a = ? and b = 3", "x"),
+                    ("avg(v) from t where a = 'x' and b = ?", "3"),
+                ],
+            ),
+            (
+                "select max(v) from t",
+                &[("?(v) from t", "max"), ("max(?) from t", "v")],
+            ),
+            ("select count(*) from t", &[("?(*) from t", "count")]),
+            (
+                "select avg(delay) from flights where city = 'Zürich' and delay > -3",
+                &[
+                    (
+                        "?(delay) from flights where city = 'Zürich' and delay > -3",
+                        "avg",
+                    ),
+                    (
+                        "avg(?) from flights where city = 'Zürich' and delay > -3",
+                        "delay",
+                    ),
+                    (
+                        "avg(delay) from flights where city = ? and delay > -3",
+                        "Zürich",
+                    ),
+                    (
+                        "avg(delay) from flights where city = 'Zürich' and delay > ?",
+                        "-3",
+                    ),
+                    (
+                        "avg(delay) from flights where city = 'Zürich' and delay ? -3",
+                        ">",
+                    ),
+                ],
+            ),
+        ];
+        for (sql, want) in golden {
+            let got = templates_of(&parse(sql).unwrap());
+            let want: Vec<TemplateInstance> = want
+                .iter()
+                .map(|(title, label)| TemplateInstance {
+                    title: (*title).to_owned(),
+                    label: (*label).to_owned(),
+                })
+                .collect();
+            assert_eq!(got, want, "{sql}");
+        }
     }
 }

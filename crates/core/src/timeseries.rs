@@ -73,11 +73,12 @@ pub fn series_plots(
     let mut placed: Vec<bool> = vec![false; candidates.len()];
     // Prefer templates covering more candidates: shared templates collect
     // the lines, singletons only catch leftovers.
-    let mut templates = group_templates(candidates);
-    templates.sort_by_key(|t| std::cmp::Reverse(t.1.len()));
-    for (title, members) in templates {
+    let templates = group_templates(candidates);
+    let mut order: Vec<usize> = (0..templates.len()).collect();
+    order.sort_by_key(|&j| std::cmp::Reverse(templates.members(j).len()));
+    for j in order {
         let mut series: Vec<Series> = Vec::new();
-        for (cand, label) in members {
+        for (cand, label) in templates.members(j) {
             if placed[cand] {
                 continue;
             }
@@ -87,13 +88,16 @@ pub fn series_plots(
             placed[cand] = true;
             series.push(Series {
                 candidate: cand,
-                label,
+                label: label.to_owned(),
                 points,
                 highlighted: red.contains(&cand),
             });
         }
         if !series.is_empty() {
-            plots.push(SeriesPlot { title, series });
+            plots.push(SeriesPlot {
+                title: templates.title(j).to_owned(),
+                series,
+            });
         }
     }
     plots

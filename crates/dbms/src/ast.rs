@@ -186,27 +186,50 @@ impl Predicate {
 
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.column)?;
         match &self.op {
-            PredOp::Eq(v) => write!(f, "{} = {}", self.column, quoted(v)),
-            PredOp::Cmp(op, v) => write!(f, "{} {} {}", self.column, op, quoted(v)),
+            PredOp::Eq(v) => {
+                f.write_str(" = ")?;
+                Quoted(v).fmt(f)
+            }
+            PredOp::Cmp(op, v) => {
+                f.write_str(" ")?;
+                f.write_str(op.symbol())?;
+                f.write_str(" ")?;
+                Quoted(v).fmt(f)
+            }
             PredOp::In(vs) => {
-                write!(f, "{} in (", self.column)?;
+                f.write_str(" in (")?;
                 for (i, v) in vs.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ", ")?;
+                        f.write_str(", ")?;
                     }
-                    write!(f, "{}", quoted(v))?;
+                    Quoted(v).fmt(f)?;
                 }
-                write!(f, ")")
+                f.write_str(")")
             }
         }
     }
 }
 
-fn quoted(v: &Value) -> String {
-    match v {
-        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
-        other => other.to_string(),
+/// A constant as SQL text: strings single-quoted, embedded quotes doubled.
+struct Quoted<'a>(&'a Value);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Value::Str(s) => {
+                f.write_str("'")?;
+                for (i, part) in s.split('\'').enumerate() {
+                    if i > 0 {
+                        f.write_str("''")?;
+                    }
+                    f.write_str(part)?;
+                }
+                f.write_str("'")
+            }
+            other => write!(f, "{other}"),
+        }
     }
 }
 
