@@ -6,7 +6,12 @@
 //! ```
 //!
 //! Experiments: table1, fig3, fig6, fig7, fig8, fig9, fig10, fig11,
-//! fig12, fig13 (fig3 runs with table1; fig10/fig11 run with fig9).
+//! fig12, fig13 (fig3 runs with table1; fig10/fig11 run with fig9),
+//! ablation, and serve (the network stack's shed/latency curve).
+//!
+//! A usage error (no experiment named, an unknown id, or `--json` /
+//! `--markdown` without a path) prints the usage and exits with code 2
+//! before anything runs.
 
 use muve_bench::experiments::{self, ResultTable, EXPERIMENTS};
 use std::collections::BTreeSet;
@@ -15,28 +20,27 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-        return;
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_dir = value_of(&args, "--json").map(PathBuf::from);
-    let markdown = value_of(&args, "--markdown").map(PathBuf::from);
-
+    let mut args = std::env::args().skip(1);
+    let mut quick = false;
+    let mut json_dir: Option<PathBuf> = None;
+    let mut markdown: Option<PathBuf> = None;
     let mut ids: Vec<String> = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--quick" => {}
-            "--json" | "--markdown" => skip_next = true,
+            "--help" | "-h" => {
+                usage();
+                return;
+            }
+            "--quick" => quick = true,
+            "--json" => json_dir = Some(flag_value(&a, args.next())),
+            "--markdown" => markdown = Some(flag_value(&a, args.next())),
             "all" => ids.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
             other => ids.push(other.to_string()),
         }
+    }
+    if ids.is_empty() {
+        eprintln!("no experiment named");
+        usage_error();
     }
 
     // Dedup by run group (table1+fig3 together, fig9-11 together).
@@ -54,8 +58,7 @@ fn main() {
             }
             other => {
                 eprintln!("unknown experiment {other:?}");
-                usage();
-                std::process::exit(2);
+                usage_error();
             }
         }
     }
@@ -96,10 +99,16 @@ fn main() {
     }
 }
 
-fn value_of(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The path after `flag`; a missing one (or another flag in its place)
+/// is a usage error, never a silently skipped output.
+fn flag_value(flag: &str, value: Option<String>) -> PathBuf {
+    match value {
+        Some(v) if !v.starts_with("--") => PathBuf::from(v),
+        _ => {
+            eprintln!("{flag} needs a path");
+            usage_error();
+        }
+    }
 }
 
 fn usage() {
@@ -108,4 +117,9 @@ fn usage() {
          experiments: {}",
         EXPERIMENTS.join(", ")
     );
+}
+
+fn usage_error() -> ! {
+    usage();
+    std::process::exit(2);
 }

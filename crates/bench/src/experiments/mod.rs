@@ -10,14 +10,9 @@
 //! | `fig12` | MUVE vs drop-down baseline | [`fig12`] |
 //! | `fig13` | presentation-method ratings | [`fig13`] |
 //! | `ablation` | reproduction-specific design ablations | [`ablation`] |
-//! | `cache` | cold vs warm cross-request caching | [`cache`] |
 //! | `serve` | network-stack shed/latency load curves | [`serve`] |
-//! | `scan` | row-at-a-time vs morsel-driven batch scans | [`scan`] |
-//! | `shard` | replicated scatter-gather throughput & chaos | [`shard`] |
-//! | `index` | secondary-index probes vs scans across selectivities | [`index`] |
 
 pub mod ablation;
-pub mod cache;
 pub mod common;
 pub mod fig12;
 pub mod fig13;
@@ -25,10 +20,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod index;
-pub mod scan;
 pub mod serve;
-pub mod shard;
 pub mod study;
 
 pub use common::ResultTable;
@@ -36,7 +28,7 @@ pub use common::ResultTable;
 /// All experiment ids accepted by the `expt` binary.
 pub const EXPERIMENTS: &[&str] = &[
     "table1", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-    "ablation", "cache", "serve", "scan", "shard", "index",
+    "ablation", "serve",
 ];
 
 /// Run one experiment by id (fig3 is produced together with table1, and
@@ -51,11 +43,7 @@ pub fn run(id: &str, quick: bool) -> Option<Vec<ResultTable>> {
         "fig12" => Some(fig12::run(quick)),
         "fig13" => Some(fig13::run(quick)),
         "ablation" => Some(ablation::run(quick)),
-        "cache" => Some(cache::run(quick)),
         "serve" => Some(serve::run(quick)),
-        "scan" => Some(scan::run(quick)),
-        "shard" => Some(shard::run(quick)),
-        "index" => Some(index::run(quick)),
         _ => None,
     }
 }
